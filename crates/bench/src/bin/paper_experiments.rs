@@ -9,30 +9,21 @@
 //! cargo run --release -p xmlprop-bench --bin paper_experiments -- quick   # reduced grids
 //! ```
 //!
-//! Experiments: `fig7a`, `fig7b`, `fig7c`, `large`, `prepared` (the
-//! prepared-engine ablation comparing one-shot facades against prepared
-//! state), `docs` (the document engine: facade vs prepared shredding
-//! and key validation at 10⁴–10⁶-node documents), `stream` (the
-//! event-driven front end versus the DOM path end to end, on the same
-//! document grid), `corpus` (the parallel corpus pipeline at 1/2/4/8
-//! worker threads), `serve` (the resident constraint server: validate
-//! requests/sec at 1/2/4/8 client threads against one shared
-//! hot-swappable bundle), `incremental` (delta-maintained
-//! revalidation and re-shredding under a single small edit versus the
-//! from-scratch pipeline, on the same document grid), and `query` (the
-//! key-aware join executed as a hash lookup against the propagated key
-//! versus the naive nested-loop baseline).
+//! Experiments: `fig7a`, `fig7b`, `fig7c`, `large` (the in-text
+//! large-scale spot checks) and `prepared` (the prepared-engine ablation
+//! comparing one-shot facades against prepared state).  An unknown name is
+//! a usage error (exit 2).  The document, corpus, server, incremental and
+//! query paths are measured by the repository benchmark in `perfbench/`.
 //!
 //! Results are printed as text tables and also written as JSON files under
-//! `target/paper_experiments/` for archival (EXPERIMENTS.md quotes them).
+//! `target/paper_experiments/`; a full, non-`quick` run also rewrites the
+//! consolidated `BENCH_fig7.json` at the repository root.
 
 use std::fs;
 use std::path::PathBuf;
 use xmlprop_bench::{
-    corpus_experiment, corpus_rows, docs_experiment, docs_rows, fig7a, fig7a_rows, fig7b, fig7c,
-    incremental_experiment, incremental_rows, large_scale, large_scale_rows, prepared_rows,
-    prepared_speedups, propagation_rows, query_experiment, query_rows, render_table,
-    serve_experiment, serve_rows, stream_experiment, stream_rows, Fig7Row,
+    fig7a, fig7a_rows, fig7b, fig7c, large_scale, large_scale_rows, prepared_rows,
+    prepared_speedups, propagation_rows, render_table, Fig7Row,
 };
 
 fn out_dir() -> PathBuf {
@@ -196,201 +187,6 @@ fn run_prepared(quick: bool) -> Vec<Fig7Row> {
     prepared_rows(&points)
 }
 
-fn run_docs(quick: bool) -> Vec<Fig7Row> {
-    println!("== Document engine: facade vs prepared shredding / validation ==");
-    println!("   (workload documents; prepared = DocIndex + ShredPlan / KeyIndex)\n");
-    let points = docs_experiment(quick);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.nodes.to_string(),
-                p.rows.to_string(),
-                format!("{:.3}", p.index_build_ms),
-                format!("{:.3}", p.shred_facade_ms),
-                format!("{:.3}", p.shred_prepared_ms),
-                format!("{:.1}x", p.shred_speedup()),
-                format!("{:.3}", p.validate_facade_ms),
-                format!("{:.3}", p.validate_prepared_ms),
-                format!("{:.1}x", p.validate_speedup()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "nodes",
-                "tuples",
-                "index (ms)",
-                "shred facade (ms)",
-                "shred prep (ms)",
-                "speedup",
-                "validate facade (ms)",
-                "validate prep (ms)",
-                "speedup"
-            ],
-            &rows
-        )
-    );
-    write_json("docs", &points);
-    docs_rows(&points)
-}
-
-fn run_stream(quick: bool) -> Vec<Fig7Row> {
-    println!("== Streaming front end: event-driven vs DOM end-to-end ==");
-    println!("   (same documents as `docs`; DOM side includes parse + index build)\n");
-    let points = stream_experiment(quick);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.nodes.to_string(),
-                p.rows.to_string(),
-                format!("{:.3}", p.stream_shred_ms),
-                format!("{:.3}", p.dom_shred_ms),
-                format!("{:.2}x", p.shred_speedup()),
-                format!("{:.3}", p.stream_validate_ms),
-                format!("{:.3}", p.dom_validate_ms),
-                format!("{:.2}x", p.validate_speedup()),
-                p.peak_open_bindings.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "nodes",
-                "tuples",
-                "stream shred (ms)",
-                "dom e2e (ms)",
-                "speedup",
-                "stream validate (ms)",
-                "dom e2e (ms)",
-                "speedup",
-                "peak open"
-            ],
-            &rows
-        )
-    );
-    write_json("stream", &points);
-    stream_rows(&points)
-}
-
-fn run_corpus(quick: bool) -> Vec<Fig7Row> {
-    println!("== Corpus pipeline: whole-corpus shred / validate vs worker threads ==");
-    println!("   (one shared prepared bundle; outputs asserted equal to sequential)\n");
-    let points = corpus_experiment(quick);
-    let baseline = points[0].clone();
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.jobs.to_string(),
-                p.documents.to_string(),
-                p.total_nodes.to_string(),
-                format!("{:.3}", p.shred_ms),
-                format!("{:.2}x", p.shred_speedup_over(&baseline)),
-                format!("{:.3}", p.validate_ms),
-                format!("{:.2}x", p.validate_speedup_over(&baseline)),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "jobs",
-                "docs",
-                "nodes",
-                "shred (ms)",
-                "speedup",
-                "validate (ms)",
-                "speedup"
-            ],
-            &rows
-        )
-    );
-    write_json("corpus", &points);
-    corpus_rows(&points)
-}
-
-fn run_serve(quick: bool) -> Vec<Fig7Row> {
-    println!("== Resident server: validate requests/sec vs client threads ==");
-    println!("   (one shared bundle behind the swap cell; every response byte-checked;");
-    println!("    the `faults` grid injects the 10% delay/short-write schedule)\n");
-    let points = serve_experiment(quick);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.client_threads.to_string(),
-                p.requests.to_string(),
-                p.documents.to_string(),
-                if p.faults { "10%" } else { "off" }.to_string(),
-                format!("{:.3}", p.elapsed_ms),
-                format!("{:.0}", p.requests_per_sec),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "clients",
-                "requests",
-                "docs",
-                "faults",
-                "elapsed (ms)",
-                "req/s"
-            ],
-            &rows
-        )
-    );
-    write_json("serve", &points);
-    serve_rows(&points)
-}
-
-fn run_incremental(quick: bool) -> Vec<Fig7Row> {
-    println!("== Incremental revalidation: delta maintenance vs from-scratch ==");
-    println!("   (one steady-state text edit; scratch = index rebuild + full pass)\n");
-    let points = incremental_experiment(quick);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.nodes.to_string(),
-                p.rows.to_string(),
-                format!("{:.3}", p.incr_validate_ms),
-                format!("{:.3}", p.scratch_validate_ms),
-                format!("{:.1}x", p.validate_speedup()),
-                format!("{:.3}", p.incr_shred_ms),
-                format!("{:.3}", p.scratch_shred_ms),
-                format!("{:.1}x", p.shred_speedup()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "nodes",
-                "tuples",
-                "incr validate (ms)",
-                "scratch validate (ms)",
-                "speedup",
-                "incr shred (ms)",
-                "scratch shred (ms)",
-                "speedup"
-            ],
-            &rows
-        )
-    );
-    write_json("incremental", &points);
-    incremental_rows(&points)
-}
-
 fn run_large() -> Vec<Fig7Row> {
     println!("== Section 6 in-text large-scale spot checks ==\n");
     let points = large_scale();
@@ -413,83 +209,73 @@ fn run_large() -> Vec<Fig7Row> {
     large_scale_rows(&points)
 }
 
-fn run_query(quick: bool) -> Vec<Fig7Row> {
-    println!("== Query layer: unique-key hash-lookup join vs nested loop ==");
-    println!("   (fact ⋈ dim on the propagated key `id`; outputs asserted identical)\n");
-    let points = query_experiment(quick);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.rows.to_string(),
-                p.result_rows.to_string(),
-                format!("{:.3}", p.naive_ms),
-                format!("{:.3}", p.keyed_ms),
-                format!("{:.1}x", p.speedup()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["rows", "result rows", "naive (ms)", "keyed (ms)", "speedup"],
-            &rows
-        )
-    );
-    write_json("query", &points);
-    query_rows(&points)
+/// The experiments this binary runs, in run order.
+const EXPERIMENTS: [&str; 5] = ["fig7a", "fig7b", "fig7c", "large", "prepared"];
+
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Selection {
+    /// Reduced grids (`quick`), as run by the CI smoke job.
+    quick: bool,
+    /// The experiments to run, in [`EXPERIMENTS`] order.
+    experiments: Vec<&'static str>,
+}
+
+/// Parses the arguments: `quick` plus any experiment names; none named
+/// means all.  An unknown name yields the usage line as the error.
+fn parse_args(args: &[String]) -> Result<Selection, String> {
+    let mut quick = false;
+    let mut named = Vec::new();
+    for arg in args {
+        if arg == "quick" {
+            quick = true;
+        } else if EXPERIMENTS.contains(&arg.as_str()) {
+            named.push(arg.as_str());
+        } else {
+            return Err(format!(
+                "unknown experiment `{arg}`\nusage: paper_experiments [quick] [{}]...",
+                EXPERIMENTS.join("|")
+            ));
+        }
+    }
+    Ok(Selection {
+        quick,
+        experiments: EXPERIMENTS
+            .into_iter()
+            .filter(|e| named.is_empty() || named.contains(e))
+            .collect(),
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "quick");
-    let wanted: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| *a != "quick")
-        .collect();
-    let run_all = wanted.is_empty();
+    let selection = match parse_args(&args) {
+        Ok(selection) => selection,
+        Err(usage) => {
+            eprintln!("error: {usage}");
+            std::process::exit(2);
+        }
+    };
+    let quick = selection.quick;
 
     let mut rows: Vec<Fig7Row> = Vec::new();
-    if run_all || wanted.contains(&"fig7a") {
-        rows.extend(run_fig7a(quick));
-    }
-    if run_all || wanted.contains(&"fig7b") {
-        rows.extend(run_fig7b(quick));
-    }
-    if run_all || wanted.contains(&"fig7c") {
-        rows.extend(run_fig7c(quick));
-    }
-    if run_all || wanted.contains(&"large") {
-        rows.extend(run_large());
-    }
-    if run_all || wanted.contains(&"prepared") {
-        rows.extend(run_prepared(quick));
-    }
-    if run_all || wanted.contains(&"docs") {
-        rows.extend(run_docs(quick));
-    }
-    if run_all || wanted.contains(&"stream") {
-        rows.extend(run_stream(quick));
-    }
-    if run_all || wanted.contains(&"corpus") {
-        rows.extend(run_corpus(quick));
-    }
-    if run_all || wanted.contains(&"serve") {
-        rows.extend(run_serve(quick));
-    }
-    if run_all || wanted.contains(&"incremental") {
-        rows.extend(run_incremental(quick));
-    }
-    if run_all || wanted.contains(&"query") {
-        rows.extend(run_query(quick));
+    for experiment in &selection.experiments {
+        rows.extend(match *experiment {
+            "fig7a" => run_fig7a(quick),
+            "fig7b" => run_fig7b(quick),
+            "fig7c" => run_fig7c(quick),
+            "large" => run_large(),
+            "prepared" => run_prepared(quick),
+            other => unreachable!("`{other}` is not in EXPERIMENTS"),
+        });
     }
     println!("JSON copies written to {}", out_dir().display());
-    // The consolidated tracking file is only refreshed by a full run: a
-    // figure-filtered invocation would silently drop the other figures' rows
-    // from the cross-PR record, and a `quick` run (what CI's bench-smoke
-    // does) would truncate the full grids down to the reduced ones.
-    if run_all && !quick && !rows.is_empty() {
+    // The consolidated tracking file is only refreshed by a full run of
+    // every experiment: a filtered invocation would silently drop the other
+    // experiments' rows from the tracked record, and a `quick` run (what
+    // CI's bench-smoke does) would truncate the full grids down to the
+    // reduced ones.
+    if selection.experiments.len() == EXPERIMENTS.len() && !quick {
         let path = bench_json_path();
         match serde_json::to_string_pretty(&rows) {
             Ok(json) => match fs::write(&path, json + "\n") {
@@ -497,6 +283,41 @@ fn main() {
                 Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
             },
             Err(e) => eprintln!("warning: could not serialize consolidated rows: {e}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn no_names_selects_every_experiment() {
+        let selection = parse_args(&args(&["quick"])).unwrap();
+        assert!(selection.quick);
+        assert_eq!(selection.experiments, EXPERIMENTS);
+    }
+
+    #[test]
+    fn named_experiments_run_in_canonical_order() {
+        let selection = parse_args(&args(&["prepared", "fig7a"])).unwrap();
+        assert!(!selection.quick);
+        assert_eq!(selection.experiments, ["fig7a", "prepared"]);
+    }
+
+    #[test]
+    fn unknown_names_are_usage_errors() {
+        for name in ["fig7d", "docs", "serve"] {
+            let usage = parse_args(&args(&["quick", name])).unwrap_err();
+            assert!(usage.contains(&format!("`{name}`")), "{usage}");
+            assert!(
+                usage.contains("fig7a|fig7b|fig7c|large|prepared"),
+                "{usage}"
+            );
         }
     }
 }

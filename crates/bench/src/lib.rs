@@ -23,12 +23,8 @@ use std::time::{Duration, Instant};
 use xmlprop_core::{
     minimum_cover, naive_minimum_cover, propagation, GMinimumCover, PropagationEngine,
 };
-use xmlprop_query::{execute, parse_query, plan, plan_naive, Catalog, JoinKind};
-use xmlprop_reldb::{Database, Fd, Relation, RelationSchema, Tuple, Value};
-use xmlprop_workload::{
-    generate, generate_document_with_report, target_fd, DocConfig, Workload, WorkloadConfig,
-};
-use xmlprop_xmltree::{DocIndex, LabelUniverse};
+use xmlprop_reldb::Fd;
+use xmlprop_workload::{generate, target_fd, Workload, WorkloadConfig};
 
 /// Milliseconds with fractional precision, for compact reporting.
 fn millis(d: Duration) -> f64 {
@@ -40,22 +36,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let start = Instant::now();
     let out = f();
     (millis(start.elapsed()), out)
-}
-
-/// Times a closure `reps` times and returns (best elapsed ms, last result)
-/// — single-shot wall-clock timings on shared hardware jitter by 2×, so
-/// comparisons committed to the BENCH record take the minimum of a few
-/// runs on both sides.
-pub fn time_best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let (mut best, mut out) = time(&mut f);
-    for _ in 1..reps.max(1) {
-        let (ms, next) = time(&mut f);
-        if ms < best {
-            best = ms;
-        }
-        out = next;
-    }
-    (best, out)
 }
 
 /// Default depth used by the Fig. 7(a) sweep (the paper fixes depth and keys
@@ -355,844 +335,6 @@ pub fn prepared_speedups(quick: bool) -> Vec<PreparedPoint> {
     out
 }
 
-/// One measured point of the document-engine experiment: shredding and key
-/// validation of one generated document through the string facades versus
-/// the prepared engines (`DocIndex` + `ShredPlan` / `KeyIndex`).
-#[derive(Debug, Clone, Serialize)]
-pub struct DocPoint {
-    /// Total node count of the generated document (the scale parameter).
-    pub nodes: usize,
-    /// Number of tuples the universal-relation shred produced.
-    pub rows: usize,
-    /// One-time `DocIndex` build (ms) — the preparation the engine rows
-    /// amortize.
-    pub index_build_ms: f64,
-    /// `TableRule::shred` — the string walk (ms).
-    pub shred_facade_ms: f64,
-    /// `ShredPlan::shred` over the prebuilt index (ms).
-    pub shred_prepared_ms: f64,
-    /// `satisfies_all` — the string walk over all keys (ms).
-    pub validate_facade_ms: f64,
-    /// `KeyIndex::satisfies` over the prebuilt index (ms).
-    pub validate_prepared_ms: f64,
-}
-
-impl DocPoint {
-    /// Facade-over-prepared speedup of the shred.
-    pub fn shred_speedup(&self) -> f64 {
-        self.shred_facade_ms / self.shred_prepared_ms.max(f64::MIN_POSITIVE)
-    }
-
-    /// Facade-over-prepared speedup of the validation.
-    pub fn validate_speedup(&self) -> f64 {
-        self.validate_facade_ms / self.validate_prepared_ms.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// The `docs` experiment: document-side throughput at 10⁴–10⁶ nodes.
-///
-/// For each grid point a workload document is generated (the report's exact
-/// node count is recorded, no silent caps), then measured four ways:
-/// facade/prepared shredding of the universal relation and facade/prepared
-/// validation of the whole key set.  Facade and prepared results are
-/// asserted identical (relation equality / same verdict); the one-time
-/// `DocIndex` build is timed separately so the query rows are pure engine
-/// time.  `quick` keeps only the ~10⁴-node point for the CI smoke run.
-pub fn docs_experiment(quick: bool) -> Vec<DocPoint> {
-    // (fields, depth, keys, branching) — chosen to land near 10⁴, 10⁵ and
-    // 10⁶ nodes with the workload's per-entity field multiplier.
-    let grids: &[(usize, usize, usize, usize)] = if quick {
-        &[(15, 4, 10, 6)]
-    } else {
-        &[(15, 4, 10, 6), (15, 5, 10, 8), (18, 6, 10, 8)]
-    };
-    grids
-        .iter()
-        .map(|&(fields, depth, keys, branching)| {
-            let w = generate(&WorkloadConfig::new(fields, depth, keys));
-            let (doc, report) = generate_document_with_report(
-                &w,
-                &DocConfig {
-                    branching,
-                    omission_probability: 0.1,
-                    seed: 11,
-                    // Explicit depth: the document dial is (depth,
-                    // branching); the generator panics rather than silently
-                    // capping if the workload cannot honor it.
-                    depth: Some(depth),
-                },
-            );
-
-            // Shredding: string facade vs prepared plan (best of `reps`
-            // on both sides; single-shot timings jitter on shared
-            // hardware).
-            let reps = if quick { 1 } else { 3 };
-            let (shred_facade_ms, facade_rel) = time_best_of(reps, || w.universal.shred(&doc));
-            let mut universe = LabelUniverse::new();
-            let plan = w.universal.prepare(&mut universe);
-            let (index_build_ms, doc_index) = time(|| DocIndex::build(&doc, &mut universe));
-            let (shred_prepared_ms, prepared_rel) =
-                time_best_of(reps, || plan.shred(&doc, &doc_index));
-            assert_eq!(facade_rel, prepared_rel, "shred facade/engine disagree");
-
-            // Validation: string facade vs prepared key index.
-            let (validate_facade_ms, facade_ok) = time_best_of(reps, || {
-                xmlprop_xmlkeys::satisfies_all(&doc, w.sigma.iter())
-            });
-            let mut key_index = w.sigma.prepare();
-            let key_doc_index = key_index.index_document(&doc);
-            let (validate_prepared_ms, prepared_ok) =
-                time_best_of(reps, || key_index.satisfies(&doc, &key_doc_index));
-            assert_eq!(facade_ok, prepared_ok, "validation facade/engine disagree");
-            assert!(facade_ok, "generated documents satisfy their own Σ");
-
-            DocPoint {
-                nodes: report.nodes,
-                rows: facade_rel.len(),
-                index_build_ms,
-                shred_facade_ms,
-                shred_prepared_ms,
-                validate_facade_ms,
-                validate_prepared_ms,
-            }
-        })
-        .collect()
-}
-
-/// One measured point of the streaming front-end experiment: one generated
-/// document, event-driven shredding/validation straight off the serialized
-/// text versus the prepared DOM path **end to end** (parse + `DocIndex`
-/// build + engine run — the honest baseline, since streaming includes its
-/// own tokenization).
-#[derive(Debug, Clone, Serialize)]
-pub struct StreamPoint {
-    /// Total node count of the generated document (the scale parameter).
-    pub nodes: usize,
-    /// Number of tuples the universal-relation shred produced.
-    pub rows: usize,
-    /// `CorpusBundle::stream_text`, shred-only (ms).
-    pub stream_shred_ms: f64,
-    /// `CorpusBundle::stream_text`, validate-only (ms).
-    pub stream_validate_ms: f64,
-    /// DOM end to end, shred-only: `Document::parse_str` + index + plan (ms).
-    pub dom_shred_ms: f64,
-    /// DOM end to end, validate-only: parse + index + key checks (ms).
-    pub dom_validate_ms: f64,
-    /// Peak open binding instances + key contexts of the streaming pass —
-    /// the bounded-memory stat (`O(depth + open bindings)`, not `O(nodes)`).
-    pub peak_open_bindings: usize,
-}
-
-impl StreamPoint {
-    /// Streaming throughput gain over the DOM end-to-end shred.
-    pub fn shred_speedup(&self) -> f64 {
-        self.dom_shred_ms / self.stream_shred_ms.max(f64::MIN_POSITIVE)
-    }
-
-    /// Streaming throughput gain over the DOM end-to-end validation.
-    pub fn validate_speedup(&self) -> f64 {
-        self.dom_validate_ms / self.stream_validate_ms.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// The `stream` experiment: the event-driven front end versus the DOM path
-/// at the same 10⁴–10⁶-node grid the `docs` experiment uses, so the
-/// `stream_*` rows of `BENCH_fig7.json` are directly comparable to the
-/// `docs_*` rows at identical node counts.
-///
-/// Streaming and DOM outcomes (relations, violations, node counts) are
-/// asserted bit-for-bit equal *before* anything is timed.  The DOM side is
-/// timed **end to end** — text to result, including parsing and the
-/// `DocIndex` build — because that is what the streaming pass replaces.
-/// `quick` keeps only the ~10⁴-node point for the CI smoke run.
-pub fn stream_experiment(quick: bool) -> Vec<StreamPoint> {
-    use xmlprop_pipeline::{CorpusBundle, CorpusOptions, Jobs, PreparedState};
-    use xmlprop_xmltree::Document;
-    let grids: &[(usize, usize, usize, usize)] = if quick {
-        &[(15, 4, 10, 6)]
-    } else {
-        &[(15, 4, 10, 6), (15, 5, 10, 8), (18, 6, 10, 8)]
-    };
-    grids
-        .iter()
-        .map(|&(fields, depth, keys, branching)| {
-            let w = generate(&WorkloadConfig::new(fields, depth, keys));
-            let (doc, report) = generate_document_with_report(
-                &w,
-                &DocConfig {
-                    branching,
-                    omission_probability: 0.1,
-                    seed: 11,
-                    depth: Some(depth),
-                },
-            );
-            let text = xmlprop_xmltree::to_xml(&doc);
-            drop(doc); // the streaming side must stand on the text alone
-            let transformation = {
-                let mut t = xmlprop_xmltransform::Transformation::new(Vec::new());
-                t.add_rule(w.universal.clone());
-                t
-            };
-            let bundle = CorpusBundle::new(w.sigma.clone(), transformation);
-            let options = |shred: bool, validate: bool, stream: bool| CorpusOptions {
-                jobs: Jobs::default(),
-                shred,
-                validate,
-                covers: false,
-                stream,
-            };
-
-            // Equivalence gate: both fronts, full task set, bit for bit —
-            // nothing is timed until the streamed output is proven equal.
-            let streamed = bundle
-                .stream_text(&text, &options(true, true, true))
-                .expect("serialized workload documents stream");
-            let mut scratch = bundle.scratch();
-            let parsed = Document::parse_str(&text).expect("serialized documents reparse");
-            let dom = bundle.process(&parsed, &mut scratch, &options(true, true, false));
-            assert_eq!(streamed.database, dom.database, "stream/DOM shred disagree");
-            assert_eq!(
-                streamed.violations, dom.violations,
-                "stream/DOM validation disagree"
-            );
-            assert_eq!(streamed.nodes, dom.nodes, "stream/DOM node counts disagree");
-            assert!(
-                streamed.violations.is_empty(),
-                "generated documents satisfy their own Σ"
-            );
-            drop(parsed);
-
-            let reps = if quick { 1 } else { 5 };
-            let (stream_shred_ms, _) = time_best_of(reps, || {
-                bundle.stream_text(&text, &options(true, false, true))
-            });
-            let (stream_validate_ms, _) = time_best_of(reps, || {
-                bundle.stream_text(&text, &options(false, true, true))
-            });
-            let (dom_shred_ms, _) = time_best_of(reps, || {
-                let d = Document::parse_str(&text).expect("reparse");
-                bundle.process(&d, &mut scratch, &options(true, false, false))
-            });
-            let (dom_validate_ms, _) = time_best_of(reps, || {
-                let d = Document::parse_str(&text).expect("reparse");
-                bundle.process(&d, &mut scratch, &options(false, true, false))
-            });
-
-            StreamPoint {
-                nodes: report.nodes,
-                rows: streamed.tuples,
-                stream_shred_ms,
-                stream_validate_ms,
-                dom_shred_ms,
-                dom_validate_ms,
-                peak_open_bindings: streamed.peak_open_bindings,
-            }
-        })
-        .collect()
-}
-
-/// Consolidates streaming points into [`Fig7Row`]s, five per point
-/// (`stream_{shred, validate}`, `dom_{shred, validate}_e2e` and
-/// `stream_peak_open_bindings`), with `n` the exact node count.  The peak
-/// row records a *count*, not a duration: its `seconds` field carries the
-/// frontier size so the bounded-memory trajectory is tracked in the same
-/// file.
-pub fn stream_rows(points: &[StreamPoint]) -> Vec<Fig7Row> {
-    let mut rows = Vec::new();
-    for p in points {
-        rows.push(Fig7Row::new("stream_shred", p.nodes, p.stream_shred_ms));
-        rows.push(Fig7Row::new(
-            "stream_validate",
-            p.nodes,
-            p.stream_validate_ms,
-        ));
-        rows.push(Fig7Row::new("dom_shred_e2e", p.nodes, p.dom_shred_ms));
-        rows.push(Fig7Row::new("dom_validate_e2e", p.nodes, p.dom_validate_ms));
-        rows.push(Fig7Row {
-            bench: "stream_peak_open_bindings".to_string(),
-            n: p.nodes,
-            seconds: p.peak_open_bindings as f64,
-        });
-    }
-    rows
-}
-
-/// One measured point of the corpus-pipeline experiment: one thread count,
-/// same corpus, shred-only and validate-only timings.
-#[derive(Debug, Clone, Serialize)]
-pub struct CorpusPoint {
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Number of corpus documents.
-    pub documents: usize,
-    /// Total node count across the corpus (the scale parameter; the
-    /// acceptance grid requires ≥100k on the full run).
-    pub total_nodes: usize,
-    /// Whole-corpus shredding time (ms) at this thread count.
-    pub shred_ms: f64,
-    /// Whole-corpus validation time (ms) at this thread count.
-    pub validate_ms: f64,
-    /// Total tuples shredded (identical at every thread count).
-    pub tuples: usize,
-}
-
-impl CorpusPoint {
-    /// Throughput gain of this point over a 1-thread shred baseline.
-    pub fn shred_speedup_over(&self, baseline: &CorpusPoint) -> f64 {
-        baseline.shred_ms / self.shred_ms.max(f64::MIN_POSITIVE)
-    }
-
-    /// Throughput gain of this point over a 1-thread validation baseline.
-    pub fn validate_speedup_over(&self, baseline: &CorpusPoint) -> f64 {
-        baseline.validate_ms / self.validate_ms.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// The corpus workload shared by the `corpus` experiment and the `corpus`
-/// Criterion bench: one prepared [`xmlprop_pipeline::CorpusBundle`] plus a
-/// generated corpus (documents satisfy Σ; per-document seeds).  `quick`
-/// shrinks the corpus for the CI smoke run; the full corpus exceeds 100k
-/// total nodes (asserted).
-pub fn corpus_setup(
-    quick: bool,
-) -> (
-    xmlprop_pipeline::CorpusBundle,
-    Vec<xmlprop_xmltree::Document>,
-    xmlprop_workload::CorpusReport,
-) {
-    use xmlprop_workload::{generate_corpus, CorpusConfig};
-    let w = generate(&WorkloadConfig::new(15, 4, 10));
-    let config = CorpusConfig {
-        documents: if quick { 6 } else { 24 },
-        base: DocConfig {
-            branching: 6,
-            omission_probability: 0.1,
-            seed: 23,
-            depth: Some(4),
-        },
-    };
-    let (docs, report) = generate_corpus(&w, &config);
-    if !quick {
-        assert!(
-            report.total_nodes >= 100_000,
-            "full corpus must exceed 100k nodes, got {}",
-            report.total_nodes
-        );
-    }
-    let transformation = {
-        let mut t = xmlprop_xmltransform::Transformation::new(Vec::new());
-        t.add_rule(w.universal.clone());
-        t
-    };
-    let bundle = xmlprop_pipeline::CorpusBundle::new(w.sigma.clone(), transformation);
-    (bundle, docs, report)
-}
-
-/// The `corpus` experiment: whole-corpus shredding and validation
-/// throughput at 1/2/4/8 worker threads over one shared prepared bundle.
-///
-/// Shred-only and validate-only runs are timed separately (best-of-`reps`)
-/// so each `BENCH_fig7.json` row isolates one pipeline stage; every
-/// thread count's full output is asserted bit-for-bit equal to the
-/// sequential facade before anything is recorded.  Scaling beyond the
-/// machine's core count is bounded by hardware: the committed rows record
-/// whatever the benchmark host provides (CI and laptops differ), which is
-/// exactly why the thread count is the row's `n`.
-pub fn corpus_experiment(quick: bool) -> Vec<CorpusPoint> {
-    use xmlprop_pipeline::{CorpusOptions, Jobs};
-    let (bundle, docs, report) = corpus_setup(quick);
-    let reps = if quick { 1 } else { 3 };
-
-    let reference = bundle.run_sequential(&docs, &CorpusOptions::default());
-    let job_grid: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    job_grid
-        .iter()
-        .map(|&jobs| {
-            let shred_only = CorpusOptions {
-                jobs: Jobs::new(jobs).expect("grid thread counts are valid"),
-                shred: true,
-                validate: false,
-                covers: false,
-                stream: false,
-            };
-            let validate_only = CorpusOptions {
-                shred: false,
-                validate: true,
-                ..shred_only.clone()
-            };
-            let (shred_ms, shredded) = time_best_of(reps, || bundle.run(&docs, &shred_only));
-            let (validate_ms, validated) = time_best_of(reps, || bundle.run(&docs, &validate_only));
-            // Equivalence gate: the parallel merge must reproduce the
-            // sequential result exactly, whatever the completion order.
-            assert_eq!(reference.documents.len(), shredded.documents.len());
-            assert_eq!(reference.documents.len(), validated.documents.len());
-            for (i, (seq, shred)) in reference
-                .documents
-                .iter()
-                .zip(&shredded.documents)
-                .enumerate()
-            {
-                assert_eq!(seq.database, shred.database, "doc {i} at jobs={jobs}");
-            }
-            for (i, (seq, val)) in reference
-                .documents
-                .iter()
-                .zip(&validated.documents)
-                .enumerate()
-            {
-                assert_eq!(seq.violations, val.violations, "doc {i} at jobs={jobs}");
-            }
-            assert_eq!(
-                validated.stats.violations, 0,
-                "generated corpora satisfy their own Σ"
-            );
-            CorpusPoint {
-                jobs,
-                documents: report.documents,
-                total_nodes: report.total_nodes,
-                shred_ms,
-                validate_ms,
-                tuples: shredded.stats.tuples,
-            }
-        })
-        .collect()
-}
-
-/// Consolidates corpus-pipeline points into [`Fig7Row`]s, two per point
-/// (`corpus_shred` and `corpus_validate`), with `n` the **thread count**
-/// (the corpus itself is fixed per run; its size is in the experiment
-/// JSON).
-pub fn corpus_rows(points: &[CorpusPoint]) -> Vec<Fig7Row> {
-    let mut rows = Vec::new();
-    for p in points {
-        rows.push(Fig7Row::new("corpus_shred", p.jobs, p.shred_ms));
-        rows.push(Fig7Row::new("corpus_validate", p.jobs, p.validate_ms));
-    }
-    rows
-}
-
-/// One measured point of the incremental-revalidation experiment: the cost
-/// of keeping validation and shredding current under a single small edit,
-/// through the delta-maintained engines versus re-running from scratch
-/// (index rebuild + full pass) on the same mutated document.
-#[derive(Debug, Clone, Serialize)]
-pub struct IncrementalPoint {
-    /// Total node count of the generated document (the scale parameter).
-    pub nodes: usize,
-    /// Number of tuples the universal-relation shred produces.
-    pub rows: usize,
-    /// Incremental validation: `Document::apply` + `DocIndex::apply_delta`
-    /// + `IncrementalValidator::apply` for one edit (ms).
-    pub incr_validate_ms: f64,
-    /// From-scratch validation of the same mutated document: apply +
-    /// `DocIndex::build` + `KeyIndex::violations` (ms).
-    pub scratch_validate_ms: f64,
-    /// Incremental shredding: apply + index delta +
-    /// `IncrementalShredder::apply` for one edit (ms).
-    pub incr_shred_ms: f64,
-    /// From-scratch shredding of the same mutated document: apply +
-    /// `DocIndex::build` + `TransformationPlan::shred_all` (ms).
-    pub scratch_shred_ms: f64,
-}
-
-impl IncrementalPoint {
-    /// Scratch-over-incremental speedup of the validation.
-    pub fn validate_speedup(&self) -> f64 {
-        self.scratch_validate_ms / self.incr_validate_ms.max(f64::MIN_POSITIVE)
-    }
-
-    /// Scratch-over-incremental speedup of the shred.
-    pub fn shred_speedup(&self) -> f64 {
-        self.scratch_shred_ms / self.incr_shred_ms.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// The `incremental` experiment: delta maintenance versus from-scratch
-/// recomputation under document mutation, at the same 10⁴–10⁶-node grid
-/// the `docs` and `stream` experiments use.
-///
-/// The steady-state edit is a text toggle on the document's last text leaf
-/// — a single small edit whose dirty region is one root-to-leaf chain, the
-/// workload the incremental engines are built for.  Each grid point keeps
-/// two identical documents: one maintained incrementally, one re-indexed
-/// and re-processed from scratch after every edit.  The two sides are
-/// measured **interleaved** (incremental edit *i*, then the scratch side
-/// applying the same edit *i*), best-of-`reps`, so jitter hits both
-/// equally; before and after the timed region the maintained state is
-/// asserted bit-for-bit equal to the from-scratch result.  `quick` keeps
-/// only the ~10⁴-node point for the CI smoke run.
-pub fn incremental_experiment(quick: bool) -> Vec<IncrementalPoint> {
-    use xmlprop_xmlkeys::IncrementalValidator;
-    use xmlprop_xmltransform::{IncrementalShredder, TransformationPlan};
-    use xmlprop_xmltree::{Delta, NodeKind};
-    let grids: &[(usize, usize, usize, usize)] = if quick {
-        &[(15, 4, 10, 6)]
-    } else {
-        &[(15, 4, 10, 6), (15, 5, 10, 8), (18, 6, 10, 8)]
-    };
-    grids
-        .iter()
-        .map(|&(fields, depth, keys, branching)| {
-            let w = generate(&WorkloadConfig::new(fields, depth, keys));
-            let (doc, report) = generate_document_with_report(
-                &w,
-                &DocConfig {
-                    branching,
-                    omission_probability: 0.1,
-                    seed: 11,
-                    depth: Some(depth),
-                },
-            );
-            let target = doc
-                .all_nodes()
-                .into_iter()
-                .rev()
-                .find(|&n| matches!(doc.kind(n), NodeKind::Text))
-                .expect("workload documents contain text leaves");
-            let edit = |i: usize| Delta::SetText {
-                node: target,
-                text: format!("edit-{}", i % 2),
-            };
-            let reps = if quick { 1 } else { 5 };
-
-            // Validation: delta-maintained KeyIndex state versus index
-            // rebuild + full violation walk.  The scratch side extends a
-            // worker copy of the key index's universe (append-only ids).
-            let keys_index = w.sigma.prepare();
-            let mut universe = keys_index.universe().clone();
-            let mut vdoc = doc.clone();
-            let mut vindex = DocIndex::build(&vdoc, &mut universe);
-            let mut validator = IncrementalValidator::new(&keys_index, &vdoc, &vindex);
-            let mut sdoc = doc.clone();
-
-            // Equivalence gate: one untimed edit through both paths.
-            {
-                let applied = vdoc.apply(&edit(0)).expect("toggle applies");
-                vindex.apply_delta(&vdoc, &applied, &mut universe);
-                validator.apply(&keys_index, &vdoc, &vindex, &applied);
-                sdoc.apply(&edit(0)).expect("toggle applies");
-                let sindex = DocIndex::build(&sdoc, &mut universe);
-                assert_eq!(
-                    validator.violations(),
-                    keys_index.violations(&sdoc, &sindex),
-                    "incremental/scratch validation disagree"
-                );
-            }
-
-            let mut incr_validate_ms = f64::INFINITY;
-            let mut scratch_validate_ms = f64::INFINITY;
-            for i in 1..=reps {
-                let delta = edit(i);
-                let (ms, _) = time(|| {
-                    let applied = vdoc.apply(&delta).expect("toggle applies");
-                    vindex.apply_delta(&vdoc, &applied, &mut universe);
-                    validator.apply(&keys_index, &vdoc, &vindex, &applied);
-                    validator.violation_count()
-                });
-                incr_validate_ms = incr_validate_ms.min(ms);
-                let (ms, _) = time(|| {
-                    sdoc.apply(&delta).expect("toggle applies");
-                    let sindex = DocIndex::build(&sdoc, &mut universe);
-                    keys_index.violations(&sdoc, &sindex).len()
-                });
-                scratch_validate_ms = scratch_validate_ms.min(ms);
-            }
-            let sindex = DocIndex::build(&sdoc, &mut universe);
-            assert_eq!(
-                validator.violations(),
-                keys_index.violations(&sdoc, &sindex),
-                "incremental validation drifted across the timed edits"
-            );
-
-            // Shredding: delta-maintained tuple blocks versus index rebuild
-            // + full re-shred of the universal relation.
-            let transformation = {
-                let mut t = xmlprop_xmltransform::Transformation::new(Vec::new());
-                t.add_rule(w.universal.clone());
-                t
-            };
-            let mut shred_universe = LabelUniverse::new();
-            let plan = TransformationPlan::new(&transformation, &mut shred_universe);
-            let mut pdoc = doc.clone();
-            let mut pindex = DocIndex::build(&pdoc, &mut shred_universe);
-            let mut shredder = IncrementalShredder::new(&plan, &pdoc, &pindex);
-            let mut qdoc = doc.clone();
-
-            let rows = {
-                let applied = pdoc.apply(&edit(0)).expect("toggle applies");
-                pindex.apply_delta(&pdoc, &applied, &mut shred_universe);
-                shredder.apply(&plan, &pdoc, &pindex, &applied);
-                qdoc.apply(&edit(0)).expect("toggle applies");
-                let qindex = DocIndex::build(&qdoc, &mut shred_universe);
-                let scratch_db = plan.shred_all(&qdoc, &qindex);
-                assert_eq!(
-                    shredder.database(&plan),
-                    scratch_db,
-                    "incremental/scratch shredding disagree"
-                );
-                scratch_db.relations().map(Relation::len).sum()
-            };
-
-            let mut incr_shred_ms = f64::INFINITY;
-            let mut scratch_shred_ms = f64::INFINITY;
-            for i in 1..=reps {
-                let delta = edit(i);
-                let (ms, _) = time(|| {
-                    let applied = pdoc.apply(&delta).expect("toggle applies");
-                    pindex.apply_delta(&pdoc, &applied, &mut shred_universe);
-                    shredder.apply(&plan, &pdoc, &pindex, &applied).len()
-                });
-                incr_shred_ms = incr_shred_ms.min(ms);
-                let (ms, _) = time(|| {
-                    qdoc.apply(&delta).expect("toggle applies");
-                    let qindex = DocIndex::build(&qdoc, &mut shred_universe);
-                    plan.shred_all(&qdoc, &qindex)
-                        .relations()
-                        .map(Relation::len)
-                        .sum::<usize>()
-                });
-                scratch_shred_ms = scratch_shred_ms.min(ms);
-            }
-            let qindex = DocIndex::build(&qdoc, &mut shred_universe);
-            assert_eq!(
-                shredder.database(&plan),
-                plan.shred_all(&qdoc, &qindex),
-                "incremental shredding drifted across the timed edits"
-            );
-
-            IncrementalPoint {
-                nodes: report.nodes,
-                rows,
-                incr_validate_ms,
-                scratch_validate_ms,
-                incr_shred_ms,
-                scratch_shred_ms,
-            }
-        })
-        .collect()
-}
-
-/// Consolidates incremental-revalidation points into [`Fig7Row`]s, four per
-/// point (`incr_validate`, `scratch_validate`, `incr_shred`,
-/// `scratch_shred`), with `n` the exact node count.
-pub fn incremental_rows(points: &[IncrementalPoint]) -> Vec<Fig7Row> {
-    let mut rows = Vec::new();
-    for p in points {
-        rows.push(Fig7Row::new("incr_validate", p.nodes, p.incr_validate_ms));
-        rows.push(Fig7Row::new(
-            "scratch_validate",
-            p.nodes,
-            p.scratch_validate_ms,
-        ));
-        rows.push(Fig7Row::new("incr_shred", p.nodes, p.incr_shred_ms));
-        rows.push(Fig7Row::new("scratch_shred", p.nodes, p.scratch_shred_ms));
-    }
-    rows
-}
-
-/// One measured point of the `serve` experiment: N client threads issuing
-/// validate requests against one resident server.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServePoint {
-    /// Concurrent client connections driving requests.
-    pub client_threads: usize,
-    /// Total requests completed across all clients.
-    pub requests: usize,
-    /// Distinct documents round-robined across the requests.
-    pub documents: usize,
-    /// Wall-clock time (ms) from first send to last response.
-    pub elapsed_ms: f64,
-    /// Aggregate throughput, `requests / elapsed`.
-    pub requests_per_sec: f64,
-    /// Whether this point was measured under [`FAULTY_SERVE_SPEC`].
-    pub faults: bool,
-}
-
-/// The seeded schedule the faulty serve grid runs under: 10% of server
-/// reads delayed by 1 ms, 10% of server writes fragmented to 16 bytes —
-/// real transport jitter, but no torn connections, so every response
-/// still completes and byte-checks.
-pub const FAULTY_SERVE_SPEC: &str = "conn.read=10%delay:1,conn.write=10%short:16";
-
-/// The `serve` experiment: aggregate request throughput of the resident
-/// server at 1/2/4/8 concurrent client connections (1/2 under `quick`),
-/// over a real TCP loopback session per client.
-///
-/// Every served response is asserted byte-equal to the sequential
-/// renderer's output for the same document *before* any timing is
-/// recorded — the concurrent server must agree with the one-shot path
-/// exactly, whatever interleaving the gate produces.
-pub fn serve_experiment(quick: bool) -> Vec<ServePoint> {
-    use xmlprop_pipeline::{Faults, Jobs, PreparedState};
-    use xmlprop_server::{render, Server, ServiceConfig};
-    let (bundle, docs, _report) = corpus_setup(quick);
-    let doc_texts: Vec<String> = docs.iter().take(4).map(xmlprop_xmltree::to_xml).collect();
-    // The sequential reference: what a one-shot run prints per document.
-    let expected: Vec<String> = {
-        let mut scratch = bundle.scratch();
-        doc_texts
-            .iter()
-            .map(|text| {
-                let doc = xmlprop_xmltree::Document::parse_str(text)
-                    .expect("serialized corpus documents reparse");
-                render::validate_report(&bundle, &doc, &mut scratch).1
-            })
-            .collect()
-    };
-    let grid: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let total_requests = if quick { 24 } else { 240 };
-
-    let server = Server::bind(
-        "127.0.0.1:0",
-        bundle,
-        Jobs::new(8).expect("8 is a valid thread count"),
-    )
-    .expect("loopback bind");
-    let mut points = measure_serve_grid(
-        server.local_addr(),
-        &doc_texts,
-        &expected,
-        grid,
-        total_requests,
-        false,
-    );
-    server.shutdown();
-
-    // The same grid with the transport degraded by [`FAULTY_SERVE_SPEC`].
-    // The stub build cannot carry a schedule (`parse` errors), so the
-    // faulty rows only land when the `faultline` feature is compiled in.
-    match Faults::parse(FAULTY_SERVE_SPEC, 42) {
-        Ok(faults) => {
-            let (bundle, _, _) = corpus_setup(quick);
-            let server = Server::bind_with(
-                "127.0.0.1:0",
-                bundle,
-                Jobs::new(8).expect("8 is a valid thread count"),
-                ServiceConfig::default(),
-                faults,
-            )
-            .expect("loopback bind");
-            points.extend(measure_serve_grid(
-                server.local_addr(),
-                &doc_texts,
-                &expected,
-                grid,
-                total_requests,
-                true,
-            ));
-            server.shutdown();
-        }
-        Err(_) => println!(
-            "   (fault injection not compiled in; skipping the faulty serve grid — \
-             rebuild with --features faultline)"
-        ),
-    }
-    points
-}
-
-/// Runs the serve grid against an already-bound server, byte-checking
-/// every response against the sequential renderer before timing.
-fn measure_serve_grid(
-    addr: std::net::SocketAddr,
-    doc_texts: &[String],
-    expected: &[String],
-    grid: &[usize],
-    total_requests: usize,
-    faults: bool,
-) -> Vec<ServePoint> {
-    use xmlprop_server::{Client, Request};
-    grid.iter()
-        .map(|&threads| {
-            let per_thread = total_requests / threads;
-            let start = Instant::now();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            let mut client = Client::connect(addr).expect("loopback connect");
-                            for i in 0..per_thread {
-                                let j = (t + i) % doc_texts.len();
-                                let resp = client
-                                    .send(&Request::Validate {
-                                        document: doc_texts[j].clone(),
-                                    })
-                                    .expect("request round-trip");
-                                assert_eq!(
-                                    resp.payload, expected[j],
-                                    "served response must equal the sequential renderer output"
-                                );
-                            }
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    handle.join().expect("client thread");
-                }
-            });
-            let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-            let requests = per_thread * threads;
-            ServePoint {
-                client_threads: threads,
-                requests,
-                documents: doc_texts.len(),
-                elapsed_ms,
-                requests_per_sec: requests as f64 / (elapsed_ms / 1e3),
-                faults,
-            }
-        })
-        .collect()
-}
-
-/// Consolidates serve points into [`Fig7Row`]s — `serve_requests_per_sec`
-/// for the clean grid, `serve_requests_per_sec_faulty` for the grid under
-/// [`FAULTY_SERVE_SPEC`] — with `n` the **client thread count** and
-/// `seconds` the mean seconds per request (throughput is its reciprocal),
-/// keeping the shared `BENCH_fig7.json` row schema.
-pub fn serve_rows(points: &[ServePoint]) -> Vec<Fig7Row> {
-    points
-        .iter()
-        .map(|p| {
-            let name = if p.faults {
-                "serve_requests_per_sec_faulty"
-            } else {
-                "serve_requests_per_sec"
-            };
-            Fig7Row::new(name, p.client_threads, p.elapsed_ms / p.requests as f64)
-        })
-        .collect()
-}
-
-/// Consolidates document-engine points into [`Fig7Row`]s, five per point
-/// (`docs_{index_build, shred_facade, shred_prepared, validate_facade,
-/// validate_prepared}`), with `n` the exact node count.
-pub fn docs_rows(points: &[DocPoint]) -> Vec<Fig7Row> {
-    let mut rows = Vec::new();
-    for p in points {
-        rows.push(Fig7Row::new("docs_index_build", p.nodes, p.index_build_ms));
-        rows.push(Fig7Row::new(
-            "docs_shred_facade",
-            p.nodes,
-            p.shred_facade_ms,
-        ));
-        rows.push(Fig7Row::new(
-            "docs_shred_prepared",
-            p.nodes,
-            p.shred_prepared_ms,
-        ));
-        rows.push(Fig7Row::new(
-            "docs_validate_facade",
-            p.nodes,
-            p.validate_facade_ms,
-        ));
-        rows.push(Fig7Row::new(
-            "docs_validate_prepared",
-            p.nodes,
-            p.validate_prepared_ms,
-        ));
-    }
-    rows
-}
-
 /// Consolidates prepared-ablation points into two [`Fig7Row`]s per point
 /// (`<workload>_facade` and `<workload>_prepared`).
 pub fn prepared_rows(points: &[PreparedPoint]) -> Vec<Fig7Row> {
@@ -1208,114 +350,6 @@ pub fn prepared_rows(points: &[PreparedPoint]) -> Vec<Fig7Row> {
             p.n,
             p.prepared_ms,
         ));
-    }
-    rows
-}
-
-/// One point of the query experiment: the same unique-key join executed
-/// by the key-aware plan (hash lookup against the propagated key) and by
-/// the naive nested-loop baseline, on `rows`-per-relation instances.
-#[derive(Debug, Clone, Serialize)]
-pub struct QueryPoint {
-    /// Rows in each of the two joined relations.
-    pub rows: usize,
-    /// Rows in the join result (identical for both plans).
-    pub result_rows: usize,
-    /// Best-of-reps naive nested-loop execution time.
-    pub naive_ms: f64,
-    /// Best-of-reps key-lookup execution time.
-    pub keyed_ms: f64,
-}
-
-impl QueryPoint {
-    /// How many times faster the keyed join ran.
-    pub fn speedup(&self) -> f64 {
-        self.naive_ms / self.keyed_ms
-    }
-}
-
-/// The query experiment: a foreign-key join between a fact table and a
-/// dimension table whose propagated cover makes `id` a key (`id ->
-/// payload`), so the optimizer executes it as a hash lookup.  Both plans
-/// are executed on the same instance and their outputs asserted equal row
-/// for row before timing is recorded.
-pub fn query_experiment(quick: bool) -> Vec<QueryPoint> {
-    let sizes: &[usize] = if quick {
-        &[200, 400]
-    } else {
-        &[500, 1000, 2000, 4000]
-    };
-    let reps = if quick { 3 } else { 5 };
-
-    sizes
-        .iter()
-        .map(|&n| {
-            let mut dim = Relation::new(RelationSchema::new("dim", ["id", "payload"]));
-            for i in 0..n {
-                dim.insert(Tuple::new(vec![
-                    Value::text(format!("k{i}")),
-                    Value::text(format!("p{i}")),
-                ]));
-            }
-            let mut fact = Relation::new(RelationSchema::new("fact", ["fid", "val"]));
-            for i in 0..n {
-                // Every fact row hits a dimension row; a few carry a NULL
-                // key to keep the null-semantics path (never matches) on
-                // the measured path.
-                let fid = if i % 16 == 15 {
-                    Value::Null
-                } else {
-                    Value::text(format!("k{}", i % n))
-                };
-                fact.insert(Tuple::new(vec![fid, Value::text(format!("v{i}"))]));
-            }
-            let mut db = Database::new();
-            let mut catalog = Catalog::new();
-            catalog.add_relation(
-                dim.schema().clone(),
-                &[Fd::parse("id -> payload").expect("well-formed FD")],
-            );
-            catalog.add_relation(fact.schema().clone(), &[]);
-            db.insert(dim);
-            db.insert(fact);
-
-            let query = parse_query("select val, payload from fact join dim on fid = id")
-                .expect("experiment query parses");
-            let keyed_plan = plan(&query, &catalog).expect("query binds");
-            assert_eq!(
-                keyed_plan.joins[0].kind,
-                JoinKind::KeyLookup,
-                "the dimension join must plan as a hash lookup"
-            );
-            let naive_plan = plan_naive(&query, &catalog).expect("query binds");
-
-            let (naive_ms, naive_out) =
-                time_best_of(reps, || execute(&naive_plan, &db).expect("naive execution"));
-            let (keyed_ms, keyed_out) =
-                time_best_of(reps, || execute(&keyed_plan, &db).expect("keyed execution"));
-            assert_eq!(
-                naive_out.rows(),
-                keyed_out.rows(),
-                "keyed and naive outputs must be identical"
-            );
-
-            QueryPoint {
-                rows: n,
-                result_rows: keyed_out.len(),
-                naive_ms,
-                keyed_ms,
-            }
-        })
-        .collect()
-}
-
-/// Consolidates query points into two [`Fig7Row`]s per point
-/// (`query_naive` and `query_keyed`), with `n` the per-relation row count.
-pub fn query_rows(points: &[QueryPoint]) -> Vec<Fig7Row> {
-    let mut rows = Vec::new();
-    for p in points {
-        rows.push(Fig7Row::new("query_naive", p.rows, p.naive_ms));
-        rows.push(Fig7Row::new("query_keyed", p.rows, p.keyed_ms));
     }
     rows
 }
@@ -1499,93 +533,6 @@ mod tests {
         assert_eq!(rows[1].bench, "implication_prepared");
         assert_eq!(rows[2].bench, "batch_propagation_facade");
         assert_eq!(rows[3].bench, "batch_propagation_prepared");
-    }
-
-    #[test]
-    fn docs_experiment_runs_and_rows_cover_it() {
-        // The quick grid: one ~10⁴-node point; the function itself asserts
-        // facade/prepared agreement on both the shred and the validation.
-        let points = docs_experiment(true);
-        assert_eq!(points.len(), 1);
-        assert!(points[0].nodes > 1_000);
-        assert!(points[0].rows > 0);
-        assert!(points[0].shred_speedup() > 0.0);
-        assert!(points[0].validate_speedup() > 0.0);
-        let rows = docs_rows(&points);
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0].bench, "docs_index_build");
-        assert_eq!(rows[1].bench, "docs_shred_facade");
-        assert_eq!(rows[2].bench, "docs_shred_prepared");
-        assert_eq!(rows[3].bench, "docs_validate_facade");
-        assert_eq!(rows[4].bench, "docs_validate_prepared");
-        assert!(rows.iter().all(|r| r.n == points[0].nodes));
-    }
-
-    #[test]
-    fn stream_experiment_runs_and_rows_cover_it() {
-        // The quick grid: one ~10⁴-node point; the function itself asserts
-        // stream/DOM agreement on relations, violations and node counts.
-        let points = stream_experiment(true);
-        assert_eq!(points.len(), 1);
-        assert!(points[0].nodes > 1_000);
-        assert!(points[0].rows > 0);
-        assert!(points[0].shred_speedup() > 0.0);
-        assert!(points[0].validate_speedup() > 0.0);
-        assert!(
-            points[0].peak_open_bindings > 0 && points[0].peak_open_bindings < points[0].nodes,
-            "the frontier must be recorded and smaller than the document"
-        );
-        let rows = stream_rows(&points);
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0].bench, "stream_shred");
-        assert_eq!(rows[1].bench, "stream_validate");
-        assert_eq!(rows[2].bench, "dom_shred_e2e");
-        assert_eq!(rows[3].bench, "dom_validate_e2e");
-        assert_eq!(rows[4].bench, "stream_peak_open_bindings");
-        assert_eq!(rows[4].seconds, points[0].peak_open_bindings as f64);
-        assert!(rows.iter().all(|r| r.n == points[0].nodes));
-    }
-
-    #[test]
-    fn incremental_experiment_runs_and_rows_cover_it() {
-        // The quick grid: one ~10⁴-node point, one timed edit per side; the
-        // function itself asserts incremental/scratch agreement before and
-        // after the timed region.
-        let points = incremental_experiment(true);
-        assert_eq!(points.len(), 1);
-        assert!(points[0].nodes > 1_000);
-        assert!(points[0].rows > 0);
-        assert!(points[0].validate_speedup() > 0.0);
-        assert!(points[0].shred_speedup() > 0.0);
-        let rows = incremental_rows(&points);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].bench, "incr_validate");
-        assert_eq!(rows[1].bench, "scratch_validate");
-        assert_eq!(rows[2].bench, "incr_shred");
-        assert_eq!(rows[3].bench, "scratch_shred");
-        assert!(rows.iter().all(|r| r.n == points[0].nodes));
-    }
-
-    #[test]
-    fn corpus_experiment_runs_and_rows_cover_it() {
-        // The quick grid: 6 documents at jobs 1 and 2; the function itself
-        // asserts bit-for-bit parallel/sequential agreement per document.
-        let points = corpus_experiment(true);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].jobs, 1);
-        assert_eq!(points[1].jobs, 2);
-        assert_eq!(points[0].documents, 6);
-        assert!(points[0].total_nodes > 10_000);
-        assert!(points[0].tuples > 0);
-        assert_eq!(points[0].tuples, points[1].tuples);
-        assert!(points[1].shred_speedup_over(&points[0]) > 0.0);
-        assert!(points[1].validate_speedup_over(&points[0]) > 0.0);
-        let rows = corpus_rows(&points);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].bench, "corpus_shred");
-        assert_eq!(rows[1].bench, "corpus_validate");
-        assert_eq!(rows[0].n, 1);
-        assert_eq!(rows[2].n, 2);
     }
 
     #[test]

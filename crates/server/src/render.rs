@@ -9,7 +9,8 @@
 use std::fmt::Write;
 use xmlprop_core::{PropagationEngine, PropagationOutcome};
 use xmlprop_pipeline::{CorpusBundle, Error, RequestScratch};
-use xmlprop_reldb::{Database, Fd};
+use xmlprop_reldb::{Database, Fd, Relation};
+use xmlprop_xmlkeys::Violation;
 use xmlprop_xmltree::Document;
 
 /// Renders the per-key validation report for one document: `[ok]   {key}`
@@ -21,21 +22,8 @@ pub fn validate_report(
     scratch: &mut RequestScratch,
 ) -> (bool, String) {
     let index = scratch.index_document(doc);
-    let mut out = String::new();
-    let mut ok = true;
-    for (k, key) in bundle.sigma().iter().enumerate() {
-        let broken = bundle.keys().violations_of(k, doc, &index);
-        if broken.is_empty() {
-            writeln!(out, "[ok]   {key}").expect("String write");
-        } else {
-            ok = false;
-            writeln!(out, "[FAIL] {key}").expect("String write");
-            for v in broken {
-                writeln!(out, "         {v}").expect("String write");
-            }
-        }
-    }
-    (ok, out)
+    let per_key = (0..bundle.sigma().len()).map(|k| bundle.keys().violations_of(k, doc, &index));
+    key_report(bundle, per_key)
 }
 
 /// Streaming twin of [`validate_report`]: drives the key checker straight
@@ -50,9 +38,19 @@ pub fn validate_report_streaming(
     let report = bundle
         .stream_check(xml)
         .map_err(|e| Error::parse(origin, e))?;
+    Ok(key_report(bundle, &report.per_key))
+}
+
+/// The body both validate twins share: one `[ok]` or `[FAIL]` line per key
+/// of Σ, in Σ order, each failure followed by its indented violations.
+fn key_report<B: AsRef<[Violation]>>(
+    bundle: &CorpusBundle,
+    per_key: impl IntoIterator<Item = B>,
+) -> (bool, String) {
     let mut out = String::new();
     let mut ok = true;
-    for (key, broken) in bundle.sigma().iter().zip(&report.per_key) {
+    for (key, broken) in bundle.sigma().iter().zip(per_key) {
+        let broken = broken.as_ref();
         if broken.is_empty() {
             writeln!(out, "[ok]   {key}").expect("String write");
         } else {
@@ -63,7 +61,7 @@ pub fn validate_report_streaming(
             }
         }
     }
-    Ok((ok, out))
+    (ok, out)
 }
 
 /// Renders the shred output for one document: the named relation only, or
@@ -81,27 +79,20 @@ pub fn shred_report(
     let index = scratch.index_document(doc);
     // The value() memo is per-document; evaluation buffers survive.
     scratch.shred_scratch().reset();
-    let mut out = String::new();
-    let mut tuples = 0;
-    match relation {
+    Ok(match relation {
         Some(rel) => {
             let plan = bundle.plan().plan(rel).expect("plan exists for every rule");
             let relation = plan.shred_with(doc, &index, scratch.shred_scratch());
-            tuples += relation.len();
-            writeln!(out, "{relation}").expect("String write");
+            relations_report([&relation])
         }
         None => {
             let mut database = Database::new();
             for plan in bundle.plan().plans() {
                 database.insert(plan.shred_with(doc, &index, scratch.shred_scratch()));
             }
-            for relation in database.relations() {
-                tuples += relation.len();
-                writeln!(out, "{relation}").expect("String write");
-            }
+            relations_report(database.relations())
         }
-    }
-    Ok((tuples, out))
+    })
 }
 
 /// Streaming twin of [`shred_report`]: shreds raw XML text through the
@@ -119,13 +110,19 @@ pub fn shred_report_streaming(
     let database = bundle
         .stream_shred(xml, relation)
         .map_err(|e| Error::parse(origin, e))?;
+    Ok(relations_report(database.relations()))
+}
+
+/// The body both shred twins share: each relation printed in turn, with
+/// the total tuple count.
+fn relations_report<'r>(relations: impl IntoIterator<Item = &'r Relation>) -> (usize, String) {
     let mut out = String::new();
     let mut tuples = 0;
-    for relation in database.relations() {
+    for relation in relations {
         tuples += relation.len();
         writeln!(out, "{relation}").expect("String write");
     }
-    Ok((tuples, out))
+    (tuples, out)
 }
 
 /// Renders the propagated minimum cover of one relation (the CLI `cover`

@@ -245,8 +245,9 @@ mod tests {
 
     #[test]
     fn node_counts_scale_into_the_bench_range() {
-        // The grid the `docs` experiment uses must actually reach ~10⁴
-        // nodes deterministically (larger sizes scale the same formula).
+        // The benchmark's corpus and serve documents use this grid; it must
+        // actually reach ~10⁴ nodes deterministically (larger sizes scale
+        // the same formula).
         let w = generate(&WorkloadConfig::new(15, 4, 10));
         let (_, report) = generate_document_with_report(
             &w,

@@ -18,16 +18,6 @@ pub enum Atom {
     AnyPath,
 }
 
-impl Atom {
-    /// Returns the label if this atom is a label.
-    pub fn as_label(&self) -> Option<&str> {
-        match self {
-            Atom::Label(l) => Some(l),
-            Atom::AnyPath => None,
-        }
-    }
-}
-
 /// A path expression in the language `P ::= ε | l | P/P | P//P`.
 ///
 /// The expression is kept in a normalized form: consecutive `//` atoms are
@@ -138,11 +128,6 @@ impl PathExpr {
     pub fn descendant(&self, label: impl Into<String>) -> PathExpr {
         self.concat(&PathExpr::any())
             .concat(&PathExpr::label(label))
-    }
-
-    /// The last atom, if any.
-    pub fn last_atom(&self) -> Option<&Atom> {
-        self.atoms.last()
     }
 
     /// All ways of writing `self` as a concatenation `A/B` of two path

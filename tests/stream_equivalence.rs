@@ -29,7 +29,7 @@ fn options(stream: bool) -> CorpusOptions {
 
 /// Bundles a workload's Σ and universal rule the way the pipeline would.
 fn bundle_of(w: &xmlprop::workload::Workload) -> CorpusBundle {
-    CorpusBundle::new(
+    CorpusBundle::prepare(
         w.sigma.clone(),
         Transformation::new(vec![w.universal.clone()]),
     )
