@@ -15,22 +15,20 @@
 //! a usage error (exit 2).  The document, corpus, server, incremental and
 //! query paths are measured by the repository benchmark in `perfbench/`.
 //!
-//! Results are printed as text tables and also written as JSON files under
-//! `target/paper_experiments/`; a full, non-`quick` run also rewrites the
-//! consolidated `BENCH_fig7.json` at the repository root.
+//! Results are printed as text tables, and the consolidated
+//! `{bench, n, seconds}` rows of every run are written to
+//! `target/paper_experiments/rows.json`; a full, non-`quick` run also
+//! rewrites `BENCH_fig7.json` at the repository root with the same rows.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use xmlprop_bench::{
     fig7a, fig7a_rows, fig7b, fig7c, large_scale, large_scale_rows, prepared_rows,
     prepared_speedups, propagation_rows, render_table, Fig7Row,
 };
 
-fn out_dir() -> PathBuf {
-    let dir = PathBuf::from("target/paper_experiments");
-    let _ = fs::create_dir_all(&dir);
-    dir
-}
+/// Where every run writes its rows, relative to the working directory.
+const ROWS_PATH: &str = "target/paper_experiments/rows.json";
 
 /// `BENCH_fig7.json` lives at the repository root (two levels above this
 /// crate's manifest), independent of the working directory the binary was
@@ -41,15 +39,46 @@ fn bench_json_path() -> PathBuf {
         .join("BENCH_fig7.json")
 }
 
-fn write_json<T: serde::Serialize>(name: &str, value: &T) {
-    let path = out_dir().join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
+/// Renders rows as the JSON array `BENCH_fig7.json` holds: two-space
+/// indent, one `{bench, n, seconds}` object per row, integral seconds
+/// without a fraction.  Bench ids are ASCII identifiers, whose
+/// Rust-escaped form is their JSON string.
+fn rows_json(rows: &[Fig7Row]) -> String {
+    if rows.is_empty() {
+        return "[]".to_string();
+    }
+    let objects: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            format!(
+                "  {{\n    \"bench\": {:?},\n    \"n\": {},\n    \"seconds\": {}\n  }}",
+                row.bench,
+                row.n,
+                json_number(row.seconds)
+            )
+        })
+        .collect();
+    format!("[\n{}\n]", objects.join(",\n"))
+}
+
+/// A JSON number, integral values printed as integers.
+fn json_number(x: f64) -> String {
+    if x.fract() == 0.0 {
+        format!("{x:.0}")
+    } else {
+        x.to_string()
+    }
+}
+
+/// Writes `json` plus a final newline to `path`, creating its directory.
+fn write_rows(path: &Path, json: &str) {
+    let written = path
+        .parent()
+        .map_or(Ok(()), fs::create_dir_all)
+        .and_then(|()| fs::write(path, format!("{json}\n")));
+    match written {
+        Ok(()) => println!("Rows written to {}", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 }
 
@@ -86,7 +115,6 @@ fn run_fig7a(quick: bool) -> Vec<Fig7Row> {
             &rows
         )
     );
-    write_json("fig7a", &points);
     fig7a_rows(&points)
 }
 
@@ -121,7 +149,6 @@ fn run_fig7b(quick: bool) -> Vec<Fig7Row> {
             &rows
         )
     );
-    write_json("fig7b", &points);
     propagation_rows("fig7b", &points)
 }
 
@@ -156,7 +183,6 @@ fn run_fig7c(quick: bool) -> Vec<Fig7Row> {
             &rows
         )
     );
-    write_json("fig7c", &points);
     propagation_rows("fig7c", &points)
 }
 
@@ -183,7 +209,6 @@ fn run_prepared(quick: bool) -> Vec<Fig7Row> {
             &rows
         )
     );
-    write_json("prepared", &points);
     prepared_rows(&points)
 }
 
@@ -205,7 +230,6 @@ fn run_large() -> Vec<Fig7Row> {
         "{}",
         render_table(&["algorithm", "fields", "keys", "elapsed (ms)"], &rows)
     );
-    write_json("large_scale", &points);
     large_scale_rows(&points)
 }
 
@@ -269,21 +293,14 @@ fn main() {
             other => unreachable!("`{other}` is not in EXPERIMENTS"),
         });
     }
-    println!("JSON copies written to {}", out_dir().display());
-    // The consolidated tracking file is only refreshed by a full run of
-    // every experiment: a filtered invocation would silently drop the other
-    // experiments' rows from the tracked record, and a `quick` run (what
-    // CI's bench-smoke does) would truncate the full grids down to the
-    // reduced ones.
+    let json = rows_json(&rows);
+    write_rows(Path::new(ROWS_PATH), &json);
+    // The tracked file is only refreshed by a full run of every experiment:
+    // a filtered invocation would silently drop the other experiments' rows
+    // from the tracked record, and a `quick` run (what CI's bench-smoke
+    // does) would truncate the full grids down to the reduced ones.
     if selection.experiments.len() == EXPERIMENTS.len() && !quick {
-        let path = bench_json_path();
-        match serde_json::to_string_pretty(&rows) {
-            Ok(json) => match fs::write(&path, json + "\n") {
-                Ok(()) => println!("Consolidated rows written to {}", path.display()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-            },
-            Err(e) => eprintln!("warning: could not serialize consolidated rows: {e}"),
-        }
+        write_rows(&bench_json_path(), &json);
     }
 }
 
@@ -293,6 +310,62 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn row(bench: &str, n: usize, seconds: f64) -> Fig7Row {
+        Fig7Row {
+            bench: bench.to_string(),
+            n,
+            seconds,
+        }
+    }
+
+    #[test]
+    fn rows_render_in_the_tracked_layout() {
+        let rows = [
+            row("fig7a_minimum_cover", 5, 0.000126541),
+            row("large_naive", 20, 2.0),
+        ];
+        assert_eq!(
+            rows_json(&rows),
+            r#"[
+  {
+    "bench": "fig7a_minimum_cover",
+    "n": 5,
+    "seconds": 0.000126541
+  },
+  {
+    "bench": "large_naive",
+    "n": 20,
+    "seconds": 2
+  }
+]"#
+        );
+        assert_eq!(rows_json(&[]), "[]");
+    }
+
+    /// Re-rendering the committed `BENCH_fig7.json` from its own rows
+    /// reproduces it byte for byte.
+    #[test]
+    fn the_committed_rows_file_round_trips() {
+        let committed = fs::read_to_string(bench_json_path()).expect("BENCH_fig7.json");
+        let mut rows = Vec::new();
+        let (mut bench, mut n) = (String::new(), 0);
+        for line in committed.lines().map(str::trim) {
+            let field = |name: &str| {
+                line.strip_prefix(&format!("\"{name}\": "))
+                    .map(|v| v.trim_end_matches(','))
+            };
+            if let Some(v) = field("bench") {
+                bench = v.trim_matches('"').to_string();
+            } else if let Some(v) = field("n") {
+                n = v.parse().expect("integral n");
+            } else if let Some(v) = field("seconds") {
+                rows.push(row(&bench, n, v.parse().expect("numeric seconds")));
+            }
+        }
+        assert!(!rows.is_empty());
+        assert_eq!(rows_json(&rows) + "\n", committed);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 
 #![forbid(unsafe_code)]
 
-use serde::Serialize;
 use std::time::{Duration, Instant};
 use xmlprop_core::{
     minimum_cover, naive_minimum_cover, propagation, GMinimumCover, PropagationEngine,
@@ -54,7 +53,7 @@ pub const FIG7C_FIELDS: usize = 15;
 pub const FIG7C_DEPTH: usize = 10;
 
 /// One measured point of Fig. 7(a).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7aPoint {
     /// Number of universal-relation fields.
     pub fields: usize,
@@ -94,7 +93,7 @@ pub fn fig7a(field_counts: &[usize], naive_max_fields: usize) -> Vec<Fig7aPoint>
 
 /// One measured point of Fig. 7(b) / Fig. 7(c): the propagation-checking
 /// algorithms on the same probe FDs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PropagationPoint {
     /// The varied parameter (depth for Fig. 7(b), keys for Fig. 7(c)).
     pub parameter: usize,
@@ -183,7 +182,7 @@ pub fn fig7c(key_counts: &[usize]) -> Vec<PropagationPoint> {
 }
 
 /// One of the in-text large-scale spot checks of Section 6.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LargeScalePoint {
     /// Which algorithm was measured.
     pub algorithm: &'static str,
@@ -231,7 +230,7 @@ pub fn large_scale() -> Vec<LargeScalePoint> {
 /// One measured point of the prepared-engine ablation: the same query
 /// workload answered through the one-shot facades (which re-prepare Σ and
 /// the rule per call) and through prepared state built once.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PreparedPoint {
     /// Which workload was measured (`implication` or `batch_propagation`).
     pub workload: &'static str,
@@ -356,7 +355,7 @@ pub fn prepared_rows(points: &[PreparedPoint]) -> Vec<Fig7Row> {
 
 /// One consolidated benchmark row, as archived in `BENCH_fig7.json` at the
 /// repository root so the performance trajectory is comparable across PRs.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Row {
     /// Benchmark identifier, e.g. `fig7a_minimum_cover`.
     pub bench: String,

@@ -96,10 +96,13 @@ pub struct CorpusOptions {
     /// Compute the per-rule propagated minimum covers (document-independent;
     /// benchmarks that time pure document throughput switch this off).
     pub covers: bool,
-    /// Execute shredding and validation through the event-driven streaming
-    /// front end (open-binding frontiers, no `DocIndex`) instead of the
-    /// prepared DOM path.  Results are bit-for-bit identical; only the
-    /// execution strategy — and the peak memory profile — changes.
+    /// Execute shredding and validation of parsed documents through the
+    /// event-driven streaming engines (the tree replayed as events, no
+    /// `DocIndex`) instead of the prepared DOM path.  Results are
+    /// bit-for-bit identical.  Only [`CorpusBundle::process`] and
+    /// [`CorpusBundle::run`] read this field — the `stream_*` entry points
+    /// stream by definition — and it is kept because the repository
+    /// benchmark builds `CorpusOptions` as a struct literal.
     pub stream: bool,
 }
 

@@ -2,17 +2,21 @@
 //! shred plan and the key checker at once, with no `Document` arena and no
 //! `DocIndex`.
 //!
-//! Two entry points:
+//! Every entry point sets up a `StreamSinks` — the shredders and/or key
+//! checker it needs — and feeds it through the one per-event dispatch,
+//! `StreamSinks::feed`:
 //!
-//! * [`CorpusBundle::stream_text`] — the truly bounded-memory path: raw XML text
-//!   through `xmlprop_xmltree::StreamParser`, peak retained state
-//!   proportional to document depth plus open bindings;
-//! * [`CorpusBundle::stream_document`] — replays an already-parsed
-//!   [`Document`] as events, so the corpus runner ([`crate::CorpusOptions`]'s
-//!   `stream` toggle) can exercise the streaming engines over in-memory
-//!   corpora.
+//! * [`CorpusBundle::stream_text`], [`CorpusBundle::stream_check`] and
+//!   [`CorpusBundle::stream_shred`] pump raw XML text through
+//!   `xmlprop_xmltree::StreamParser` (`StreamSinks::pump`) — the truly
+//!   bounded-memory path: peak retained state is proportional to document
+//!   depth plus open bindings;
+//! * [`CorpusBundle::stream_document`] replays an already-parsed
+//!   [`Document`] as the same events, so the corpus runner
+//!   ([`crate::CorpusOptions`]'s `stream` toggle) can exercise the
+//!   streaming engines over in-memory corpora.
 //!
-//! Both produce [`DocOutcome`]s bit-for-bit equal to the prepared DOM path
+//! All produce results bit-for-bit equal to the prepared DOM path
 //! (`database`, `violations`, `nodes`, `tuples`), plus the streaming-only
 //! `peak_open_bindings` statistic.  Node-id-carrying violations match
 //! because the streaming checker numbers nodes in document pre-order, which
@@ -21,13 +25,12 @@
 use crate::bundle::CorpusBundle;
 use crate::run::{CorpusOptions, DocOutcome};
 use xmlprop_reldb::Database;
-use xmlprop_xmlkeys::StreamKeyChecker;
-use xmlprop_xmlpath::LabelId;
-use xmlprop_xmltransform::StreamShredder;
+use xmlprop_xmlkeys::{StreamCheckReport, StreamKeyChecker};
+use xmlprop_xmltransform::{ShredPlan, StreamShredder};
 use xmlprop_xmltree::{Document, NodeId, NodeKind, ParseError, StreamEvent, StreamParser};
 
-/// The per-document event sinks: one shredder per plan plus the key
-/// checker, all fed from a single event pass.
+/// The per-document event sinks: one shredder per requested plan plus the
+/// optional key checker, all fed from a single event pass.
 struct StreamSinks<'a> {
     shredders: Vec<StreamShredder<'a>>,
     checker: Option<StreamKeyChecker<'a>>,
@@ -35,73 +38,97 @@ struct StreamSinks<'a> {
 }
 
 impl<'a> StreamSinks<'a> {
-    fn new(bundle: &'a CorpusBundle, options: &CorpusOptions) -> Self {
-        let shredders = if options.shred {
-            bundle
-                .plan()
-                .plans()
+    fn new(bundle: &'a CorpusBundle, plans: &'a [ShredPlan], check: bool) -> Self {
+        StreamSinks {
+            shredders: plans
                 .iter()
                 .map(|plan| StreamShredder::new(plan, bundle.universe()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let checker = options
-            .validate
-            .then(|| StreamKeyChecker::new(bundle.keys()));
-        StreamSinks {
-            shredders,
-            checker,
+                .collect(),
+            checker: check.then(|| StreamKeyChecker::new(bundle.keys())),
             nodes: 0,
         }
     }
 
-    fn start_element(&mut self, label: Option<LabelId>, name: &str) {
-        self.nodes += 1;
-        for shredder in &mut self.shredders {
-            shredder.start_element(label, name);
-        }
-        if let Some(checker) = self.checker.as_mut() {
-            checker.start_element(label);
+    /// The sinks a corpus run asks for: every plan when shredding, the
+    /// checker when validating.
+    fn for_options(bundle: &'a CorpusBundle, options: &CorpusOptions) -> Self {
+        let plans = if options.shred {
+            bundle.plan().plans()
+        } else {
+            &[]
+        };
+        Self::new(bundle, plans, options.validate)
+    }
+
+    /// The one per-event dispatch: fans an event out to every shredder and
+    /// the checker, counting the nodes it opens.
+    fn feed(&mut self, event: StreamEvent<'_>) {
+        match event {
+            StreamEvent::StartElement { name, label } => {
+                self.nodes += 1;
+                for shredder in &mut self.shredders {
+                    shredder.start_element(label, name);
+                }
+                if let Some(checker) = self.checker.as_mut() {
+                    checker.start_element(label);
+                }
+            }
+            StreamEvent::Attribute { name, label, value } => {
+                self.nodes += 1;
+                for shredder in &mut self.shredders {
+                    shredder.attribute(label, name, &value);
+                }
+                if let Some(checker) = self.checker.as_mut() {
+                    checker.attribute(label, &value);
+                }
+            }
+            StreamEvent::Text { value } => {
+                self.nodes += 1;
+                for shredder in &mut self.shredders {
+                    shredder.text(&value);
+                }
+                if let Some(checker) = self.checker.as_mut() {
+                    checker.text();
+                }
+            }
+            StreamEvent::EndElement => {
+                for shredder in &mut self.shredders {
+                    shredder.end_element();
+                }
+                if let Some(checker) = self.checker.as_mut() {
+                    checker.end_element();
+                }
+            }
         }
     }
 
-    fn attribute(&mut self, label: Option<LabelId>, name: &str, value: &str) {
-        self.nodes += 1;
-        for shredder in &mut self.shredders {
-            shredder.attribute(label, name, value);
+    /// Parses raw XML text event by event into the sinks — the one parser
+    /// loop of the streaming front end.
+    fn pump(mut self, bundle: &CorpusBundle, xml: &str) -> Result<Self, ParseError> {
+        let mut parser = StreamParser::with_universe(xml, bundle.universe());
+        while let Some(event) = parser.next_event()? {
+            self.feed(event);
         }
-        if let Some(checker) = self.checker.as_mut() {
-            checker.attribute(label, value);
-        }
+        Ok(self)
     }
 
-    fn text(&mut self, value: &str) {
-        self.nodes += 1;
-        for shredder in &mut self.shredders {
-            shredder.text(value);
+    /// The shredded relations, one per requested plan.
+    fn database(shredders: Vec<StreamShredder>) -> Database {
+        let mut database = Database::new();
+        for shredder in shredders {
+            database.insert(shredder.finish());
         }
-        if let Some(checker) = self.checker.as_mut() {
-            checker.text();
-        }
-    }
-
-    fn end_element(&mut self) {
-        for shredder in &mut self.shredders {
-            shredder.end_element();
-        }
-        if let Some(checker) = self.checker.as_mut() {
-            checker.end_element();
-        }
+        database
     }
 
     fn finish(self) -> DocOutcome {
-        let mut peak = 0usize;
-        let mut database = Database::new();
-        for shredder in self.shredders {
-            peak = peak.max(shredder.peak_open_bindings());
-            database.insert(shredder.finish());
-        }
+        let mut peak = self
+            .shredders
+            .iter()
+            .map(StreamShredder::peak_open_bindings)
+            .max()
+            .unwrap_or(0);
+        let database = Self::database(self.shredders);
         let violations = match self.checker {
             Some(checker) => {
                 let report = checker.finish();
@@ -140,89 +167,29 @@ impl CorpusBundle {
         xml: &str,
         options: &CorpusOptions,
     ) -> Result<DocOutcome, ParseError> {
-        let mut parser = StreamParser::with_universe(xml, self.universe());
-        let mut sinks = StreamSinks::new(self, options);
-        while let Some(event) = parser.next_event()? {
-            match event {
-                StreamEvent::StartElement { name, label } => sinks.start_element(label, name),
-                StreamEvent::Attribute { name, label, value } => {
-                    sinks.attribute(label, name, &value)
-                }
-                StreamEvent::Text { value } => sinks.text(&value),
-                StreamEvent::EndElement => sinks.end_element(),
-            }
-        }
-        Ok(sinks.finish())
+        Ok(StreamSinks::for_options(self, options)
+            .pump(self, xml)?
+            .finish())
     }
 
     /// Streams raw XML text through the key checker only, returning the
     /// **per-key** violation report the renderers need (Σ order, grouped by
     /// key) — the streaming twin of per-key `violations_of` loops.
-    pub fn stream_check(
-        &self,
-        xml: &str,
-    ) -> Result<xmlprop_xmlkeys::StreamCheckReport, ParseError> {
-        let mut parser = StreamParser::with_universe(xml, self.universe());
-        let mut checker = StreamKeyChecker::new(self.keys());
-        while let Some(event) = parser.next_event()? {
-            match event {
-                StreamEvent::StartElement { label, .. } => checker.start_element(label),
-                StreamEvent::Attribute { label, value, .. } => checker.attribute(label, &value),
-                StreamEvent::Text { .. } => checker.text(),
-                StreamEvent::EndElement => checker.end_element(),
-            }
-        }
-        Ok(checker.finish())
+    pub fn stream_check(&self, xml: &str) -> Result<StreamCheckReport, ParseError> {
+        let sinks = StreamSinks::new(self, &[], true).pump(self, xml)?;
+        Ok(sinks.checker.expect("the checker was requested").finish())
     }
 
     /// Streams raw XML text through the shred plans only — all of them, or
     /// the one populating `relation` (silently none when the name is
     /// unknown; callers validate names first for the shared diagnostic).
     pub fn stream_shred(&self, xml: &str, relation: Option<&str>) -> Result<Database, ParseError> {
-        let mut shredders: Vec<StreamShredder> = match relation {
-            Some(rel) => self
-                .plan()
-                .plan(rel)
-                .map(|plan| StreamShredder::new(plan, self.universe()))
-                .into_iter()
-                .collect(),
-            None => self
-                .plan()
-                .plans()
-                .iter()
-                .map(|plan| StreamShredder::new(plan, self.universe()))
-                .collect(),
+        let plans = match relation {
+            Some(rel) => self.plan().plan(rel).map_or(&[][..], std::slice::from_ref),
+            None => self.plan().plans(),
         };
-        let mut parser = StreamParser::with_universe(xml, self.universe());
-        while let Some(event) = parser.next_event()? {
-            match event {
-                StreamEvent::StartElement { name, label } => {
-                    for shredder in &mut shredders {
-                        shredder.start_element(label, name);
-                    }
-                }
-                StreamEvent::Attribute { name, label, value } => {
-                    for shredder in &mut shredders {
-                        shredder.attribute(label, name, &value);
-                    }
-                }
-                StreamEvent::Text { value } => {
-                    for shredder in &mut shredders {
-                        shredder.text(&value);
-                    }
-                }
-                StreamEvent::EndElement => {
-                    for shredder in &mut shredders {
-                        shredder.end_element();
-                    }
-                }
-            }
-        }
-        let mut database = Database::new();
-        for shredder in shredders {
-            database.insert(shredder.finish());
-        }
-        Ok(database)
+        let sinks = StreamSinks::new(self, plans, false).pump(self, xml)?;
+        Ok(StreamSinks::database(sinks.shredders))
     }
 
     /// Replays a parsed document as parse events through the streaming
@@ -230,32 +197,35 @@ impl CorpusBundle {
     /// parser/builder child layout (attributes before content, ids in
     /// document order) for violation node ids to line up with the DOM path.
     pub fn stream_document(&self, doc: &Document, options: &CorpusOptions) -> DocOutcome {
-        let mut sinks = StreamSinks::new(self, options);
+        let mut sinks = StreamSinks::for_options(self, options);
         let universe = self.universe();
         let mut stack = vec![Replay::Open(doc.root())];
         while let Some(item) = stack.pop() {
-            match item {
+            let event = match item {
                 Replay::Open(id) => {
                     let label = doc.label(id);
+                    let value = || doc.text_value(id).unwrap_or_default().to_string();
                     match doc.kind(id) {
                         NodeKind::Element => {
-                            sinks.start_element(universe.lookup(label), label);
                             stack.push(Replay::Close);
                             let children: Vec<NodeId> = doc.children(id).collect();
-                            for &child in children.iter().rev() {
-                                stack.push(Replay::Open(child));
+                            stack.extend(children.into_iter().rev().map(Replay::Open));
+                            StreamEvent::StartElement {
+                                name: label,
+                                label: universe.lookup(label),
                             }
                         }
-                        NodeKind::Attribute => sinks.attribute(
-                            universe.lookup(label),
-                            label.strip_prefix('@').unwrap_or(label),
-                            doc.text_value(id).unwrap_or_default(),
-                        ),
-                        NodeKind::Text => sinks.text(doc.text_value(id).unwrap_or_default()),
+                        NodeKind::Attribute => StreamEvent::Attribute {
+                            name: label.strip_prefix('@').unwrap_or(label),
+                            label: universe.lookup(label),
+                            value: value(),
+                        },
+                        NodeKind::Text => StreamEvent::Text { value: value() },
                     }
                 }
-                Replay::Close => sinks.end_element(),
-            }
+                Replay::Close => StreamEvent::EndElement,
+            };
+            sinks.feed(event);
         }
         sinks.finish()
     }

@@ -66,12 +66,6 @@ impl Path {
     pub fn matches(&self, expr: &PathExpr) -> bool {
         expr.matches(self)
     }
-
-    /// Converts the concrete path into the (wildcard-free) path expression
-    /// defining exactly this path.
-    pub fn to_expr(&self) -> PathExpr {
-        PathExpr::from_labels(self.labels.iter().cloned())
-    }
 }
 
 impl fmt::Display for Path {
@@ -109,13 +103,6 @@ mod tests {
         assert_eq!(p, Path::from_labels(["book", "title"]));
         let q = Path::from_labels(["a"]).concat(&Path::from_labels(["b", "c"]));
         assert_eq!(q, Path::from_labels(["a", "b", "c"]));
-    }
-
-    #[test]
-    fn to_expr_matches_itself() {
-        let p = Path::from_labels(["book", "chapter"]);
-        assert!(p.matches(&p.to_expr()));
-        assert!(!Path::from_labels(["book"]).matches(&p.to_expr()));
     }
 
     #[test]

@@ -64,6 +64,5 @@ pub use delta::{IncrementalShredder, RelationDelta};
 pub use parse::{parse_single_rule, ParseRuleError};
 pub use plan::{ShredPlan, ShredScratch, TransformationPlan, VarId};
 pub use rule::{FieldRule, RuleError, TableRule, Transformation, VarMapping, ROOT_VAR};
-pub use shred::count_bindings;
 pub use stream::StreamShredder;
 pub use tree::TableTree;

@@ -8,7 +8,6 @@
 //! documents — should prepare a [`crate::ShredPlan`] instead.
 
 use crate::rule::TableRule;
-use crate::tree::TableTree;
 use std::collections::BTreeMap;
 use xmlprop_reldb::{Relation, Tuple, Value};
 use xmlprop_xmltree::{Document, NodeId};
@@ -112,32 +111,6 @@ pub(crate) fn field_value(doc: &Document, node: NodeId) -> String {
             }
         }
     }
-}
-
-/// Counts how many tuples shredding would produce, without materializing
-/// them (used by tests to check the Cartesian-product semantics cheaply).
-pub fn count_bindings(tree: &TableTree, doc: &Document) -> usize {
-    fn rec(tree: &TableTree, doc: &Document, var: &str, node: Option<NodeId>) -> usize {
-        let mut total = 1usize;
-        for child in tree.children(var) {
-            let path = tree.edge_path(child).expect("child has an edge");
-            let nodes = match node {
-                Some(n) => path.evaluate(doc, n),
-                None => Vec::new(),
-            };
-            let child_count: usize = if nodes.is_empty() {
-                rec(tree, doc, child, None)
-            } else {
-                nodes
-                    .into_iter()
-                    .map(|n| rec(tree, doc, child, Some(n)))
-                    .sum()
-            };
-            total *= child_count.max(1);
-        }
-        total
-    }
-    rec(tree, doc, tree.root(), Some(doc.root()))
 }
 
 #[cfg(test)]
@@ -264,8 +237,6 @@ mod tests {
         .unwrap();
         let rel = t.rule("pairs").unwrap().shred(&doc);
         assert_eq!(rel.len(), 6);
-        let tree = t.rule("pairs").unwrap().table_tree();
-        assert_eq!(count_bindings(&tree, &doc), 6);
     }
 
     #[test]

@@ -129,15 +129,6 @@ impl AppliedDelta {
             AppliedDelta::SetText { node } => node,
         }
     }
-
-    /// Net node-count change of the edit.
-    pub fn nodes_added(&self) -> isize {
-        match *self {
-            AppliedDelta::Insert { nodes, .. } => nodes as isize,
-            AppliedDelta::Remove { nodes, .. } => -(nodes as isize),
-            AppliedDelta::SetText { .. } => 0,
-        }
-    }
 }
 
 /// Why a [`Delta`] could not be applied; see [`Document::apply`].

@@ -316,15 +316,6 @@ impl Document {
         self.ancestors(id).len()
     }
 
-    /// The maximum node depth in the document.
-    pub fn height(&self) -> usize {
-        self.all_nodes()
-            .into_iter()
-            .map(|n| self.depth(n))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The sequence of labels on the path from the root to `id`, excluding the
     /// root's own label.  This is the "path of the node" used when checking
     /// whether a node is reached by a path expression rooted at the document
@@ -695,7 +686,6 @@ mod tests {
         assert!(d.is_ancestor(root, title));
         assert!(!d.is_ancestor(title, root));
         assert_eq!(d.depth(title), 2);
-        assert_eq!(d.height(), 3); // text node under title
     }
 
     #[test]
@@ -767,7 +757,6 @@ mod tests {
         let d = Document::new("r");
         assert!(d.is_empty());
         assert_eq!(d.len(), 1);
-        assert_eq!(d.height(), 0);
         assert_eq!(d.value(d.root()), "()");
     }
 
@@ -838,15 +827,13 @@ mod tests {
         assert_eq!(clone.epoch(), d.epoch());
         d.remove_subtree(a);
         assert_eq!(d.epoch(), e0 + 4);
-        let applied = d
-            .apply(&crate::Delta::InsertSubtree {
-                parent: d.root(),
-                position: 0,
-                fragment: crate::Fragment::Element(tiny()),
-            })
-            .unwrap();
+        d.apply(&crate::Delta::InsertSubtree {
+            parent: d.root(),
+            position: 0,
+            fragment: crate::Fragment::Element(tiny()),
+        })
+        .unwrap();
         assert_eq!(d.epoch(), e0 + 5, "apply ticks once, not once per node");
-        assert_eq!(applied.nodes_added(), tiny().len() as isize);
     }
 
     #[test]

@@ -189,15 +189,6 @@ impl DocIndex {
         (v != NO_VALUE).then_some(v)
     }
 
-    /// The number of distinct text values interned over the index's
-    /// lifetime.  Equals the number of distinct values in the document for
-    /// a freshly built index; after [`DocIndex::apply_delta`] removals it
-    /// is an upper bound (ids of vanished values are retained, never
-    /// recycled).
-    pub fn distinct_values(&self) -> usize {
-        self.values.len()
-    }
-
     /// The [`Document::epoch`] this index is current for: the epoch at
     /// [`DocIndex::build`] time, advanced by every
     /// [`DocIndex::apply_delta`].
@@ -600,7 +591,6 @@ mod tests {
         assert_eq!(ids[2], ids[3], "equal values share an id");
         assert_ne!(ids[2], ids[4], "distinct values get distinct ids");
         assert_eq!(ids[2], ids[5], "text and attribute values share the pool");
-        assert_eq!(index.distinct_values(), 2);
     }
 
     #[test]

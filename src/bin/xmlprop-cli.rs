@@ -19,12 +19,16 @@
 //! *Rules files* use the transformation syntax of `xmlprop-xmltransform`
 //! (`rule chapter(inBook, number, name) { … }`).
 //!
+//! `validate` and `shred` run the **streaming** front end: a document's
+//! text goes through one event pass with no document tree, so memory is
+//! bounded by document depth, not size.  Their reports are byte for byte
+//! what the server renders from a parsed document.
+//!
 //! When the document argument is a **directory**, `validate` and `shred`
 //! switch to batch mode: every `*.xml` file in it (sorted by name, not
-//! recursive) is processed through the parallel corpus pipeline over
-//! `--jobs` worker threads.  A file that fails to parse is reported by name
-//! and the batch continues; the exit code then signals failure without
-//! aborting the remaining files.
+//! recursive) is streamed over `--jobs` worker threads.  A file that fails
+//! to parse is reported by name and the batch continues; the exit code then
+//! signals failure without aborting the remaining files.
 //!
 //! `mutate` opens a document for **incremental revalidation**: it applies
 //! an edit script (one `settext`/`remove`/`insert` per line, nodes named
@@ -77,7 +81,7 @@ type Handler = fn(&[String]) -> Result<bool, Error>;
 const COMMANDS: &[(&str, &str, Handler)] = &[
     (
         "validate",
-        "[--jobs N] [--stream] <document.xml | dir> <keys.txt>",
+        "[--jobs N] <document.xml | dir> <keys.txt>",
         cmd_validate,
     ),
     (
@@ -89,7 +93,7 @@ const COMMANDS: &[(&str, &str, Handler)] = &[
     ("refine", "<keys.txt> <rules.txt> <relation>", cmd_refine),
     (
         "shred",
-        "[--jobs N] [--stream] <document.xml | dir> <rules.txt> [relation]",
+        "[--jobs N] <document.xml | dir> <rules.txt> [relation]",
         cmd_shred,
     ),
     (
@@ -119,7 +123,6 @@ const COMMANDS: &[(&str, &str, Handler)] = &[
 #[cfg(test)]
 const FLAGS: &[&str] = &[
     "--jobs",
-    "--stream",
     "--addr",
     "--script",
     "--read-timeout-ms",
@@ -157,12 +160,16 @@ fn main() -> ExitCode {
 /// The usage error for one subcommand, generated from [`COMMANDS`] so the
 /// message a failing invocation prints is the same line `help` shows.
 fn usage_error(cmd: &str) -> Error {
+    Error::usage(usage_line(cmd))
+}
+
+fn usage_line(cmd: &str) -> String {
     let spec = COMMANDS
         .iter()
         .find(|(name, _, _)| *name == cmd)
         .map(|(_, spec, _)| *spec)
-        .expect("usage_error is only called with table commands");
-    Error::usage(format!("usage: {cmd} {spec}"))
+        .expect("usage lines exist only for table commands");
+    format!("usage: {cmd} {spec}")
 }
 
 /// Greedy word-wrap of a spec string into lines of at most `width`
@@ -193,9 +200,10 @@ fn usage_text() -> String {
     }
     out.push_str("  xmlprop-cli help\n");
     out.push_str(
-        "\nPassing a directory to `validate` or `shred` processes every *.xml\n\
-         file in it (sorted by name) through the parallel corpus pipeline\n\
-         over N worker threads (default 1).\n\n\
+        "\n`validate` and `shred` stream the document: no tree is built, so\n\
+         memory is bounded by document depth.  Passing a directory streams\n\
+         every *.xml file in it (sorted by name) over N worker threads\n\
+         (default 1).\n\n\
          `mutate` applies an edit script (settext/remove/insert lines over\n\
          n<id> node names) to the document, incrementally maintaining the\n\
          index, the key validation and the shredded relations per edit.\n\n\
@@ -216,28 +224,13 @@ fn usage_text() -> String {
     out
 }
 
-/// Strips every occurrence of a boolean flag (e.g. `--stream`) from an
-/// argument list, reporting whether it was present.  Runs before
-/// [`parse_jobs`], which rejects unknown `--` options.
-fn split_flag(args: &[String], flag: &str) -> (Vec<String>, bool) {
-    let mut found = false;
-    let mut rest = Vec::with_capacity(args.len());
-    for arg in args {
-        if arg == flag {
-            found = true;
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    (rest, found)
-}
-
 /// Splits `--jobs N` / `--jobs=N` out of an argument list, validating the
 /// value; everything else is returned as positional arguments in order.
 /// This is the **one** jobs path: batch commands default the `None` to one
 /// worker, `serve` to its gate width, and the `--jobs 0` / over-maximum
-/// rejections are identical everywhere.
-fn parse_jobs(args: &[String]) -> Result<(Vec<String>, Option<Jobs>), Error> {
+/// rejections are identical everywhere.  Any other `--` option is a usage
+/// error carrying `cmd`'s usage line.
+fn parse_jobs(cmd: &str, args: &[String]) -> Result<(Vec<String>, Option<Jobs>), Error> {
     let mut positional = Vec::new();
     let mut jobs = None;
     let mut iter = args.iter();
@@ -250,7 +243,10 @@ fn parse_jobs(args: &[String]) -> Result<(Vec<String>, Option<Jobs>), Error> {
                 .ok_or_else(|| Error::usage("--jobs expects a thread count"))?;
             jobs = Some(parse_jobs_value(value)?);
         } else if arg.starts_with("--") {
-            return Err(Error::usage(format!("unknown option `{arg}`")));
+            return Err(Error::usage(format!(
+                "unknown option `{arg}`; {}",
+                usage_line(cmd)
+            )));
         } else {
             positional.push(arg.clone());
         }
@@ -283,41 +279,6 @@ fn corpus_files(dir: &str) -> Result<Vec<(String, std::path::PathBuf)>, Error> {
     }
     files.sort();
     Ok(files)
-}
-
-fn read_and_parse(path: &Path) -> Result<Document, Error> {
-    let text = fs::read_to_string(path).map_err(|e| Error::io(format!("cannot read: {e}")))?;
-    Document::parse_str(&text).map_err(|e| Error::Parse(e.to_string()))
-}
-
-/// Reads and parses a corpus directory over `jobs` worker threads (I/O and
-/// parsing dominate batch wall-clock on large corpora, so they share the
-/// pipeline's thread budget rather than serializing in front of it — the
-/// fan-out scaffold is the pipeline crate's).  Returns the parsed documents
-/// (with file names, in name order) and the per-file parse failures — a
-/// malformed file never aborts the batch.
-#[allow(clippy::type_complexity)]
-fn load_corpus(
-    dir: &str,
-    jobs: Jobs,
-) -> Result<(Vec<(String, Document)>, Vec<(String, String)>), Error> {
-    let files = corpus_files(dir)?;
-    let outcomes = xmlprop::pipeline::fan_out(
-        &files,
-        jobs.get(),
-        1, // chunk of 1: file I/O has no per-worker cache to keep warm
-        || (),
-        |(), _, (_, path)| read_and_parse(path),
-    );
-    let mut parsed = Vec::new();
-    let mut failed = Vec::new();
-    for ((name, _), outcome) in files.into_iter().zip(outcomes) {
-        match outcome {
-            Ok(doc) => parsed.push((name, doc)),
-            Err(e) => failed.push((name, e.to_string())),
-        }
-    }
-    Ok((parsed, failed))
 }
 
 /// `--jobs` only fans out over directory batches; say so instead of
@@ -354,28 +315,19 @@ fn load_rule<'t>(t: &'t Transformation, relation: &str) -> Result<&'t TableRule,
 }
 
 fn cmd_validate(args: &[String]) -> Result<bool, Error> {
-    let (args, stream) = split_flag(args, "--stream");
-    let (positional, jobs) = parse_jobs(&args)?;
+    let (positional, jobs) = parse_jobs("validate", args)?;
     let [doc_path, keys_path] = positional.as_slice() else {
         return Err(usage_error("validate"));
     };
     if Path::new(doc_path).is_dir() {
-        return batch_validate(doc_path, keys_path, jobs.unwrap_or_default(), stream);
+        return batch_validate(doc_path, keys_path, jobs.unwrap_or_default());
     }
     warn_single_document_jobs(jobs);
-    // The server's renderer against a validation-only bundle: a `validate`
-    // request and this one-shot print identical bytes by construction.
+    // The file's text goes straight through the streaming checker — no
+    // document tree is built — and the server's renderer prints the report,
+    // byte for byte what a `validate` request answers.
     let bundle = CorpusBundle::for_validation(load_keys(keys_path)?);
-    if stream {
-        // The event-driven front end: the file's text goes straight through
-        // the streaming checker — no document tree is ever built.
-        let (ok, report) = render::validate_report_streaming(&bundle, &read(doc_path)?, doc_path)?;
-        print!("{report}");
-        return Ok(ok);
-    }
-    let doc = Document::parse_str(&read(doc_path)?).map_err(|e| Error::parse(doc_path, e))?;
-    let mut scratch = bundle.scratch();
-    let (ok, report) = render::validate_report(&bundle, &doc, &mut scratch);
+    let (ok, report) = render::validate_report_streaming(&bundle, &read(doc_path)?, doc_path)?;
     print!("{report}");
     Ok(ok)
 }
@@ -424,35 +376,21 @@ fn cmd_refine(args: &[String]) -> Result<bool, Error> {
 }
 
 fn cmd_shred(args: &[String]) -> Result<bool, Error> {
-    let (args, stream) = split_flag(args, "--stream");
-    let (positional, jobs) = parse_jobs(&args)?;
+    let (positional, jobs) = parse_jobs("shred", args)?;
     let (doc_path, rules_path, relation) = match positional.as_slice() {
         [d, r] => (d, r, None),
         [d, r, rel] => (d, r, Some(rel.as_str())),
         _ => return Err(usage_error("shred")),
     };
     if Path::new(doc_path).is_dir() {
-        return batch_shred(
-            doc_path,
-            rules_path,
-            relation,
-            jobs.unwrap_or_default(),
-            stream,
-        );
+        return batch_shred(doc_path, rules_path, relation, jobs.unwrap_or_default());
     }
     warn_single_document_jobs(jobs);
-    // The server's renderer against a shredding-only bundle: a `shred`
-    // request and this one-shot print identical bytes by construction.
+    // Streamed straight off the file's text, rendered by the server's
+    // renderer: byte for byte what a `shred` request answers.
     let bundle = CorpusBundle::for_shredding(load_transformation(rules_path)?);
-    if stream {
-        let (_tuples, report) =
-            render::shred_report_streaming(&bundle, &read(doc_path)?, doc_path, relation)?;
-        print!("{report}");
-        return Ok(true);
-    }
-    let doc = Document::parse_str(&read(doc_path)?).map_err(|e| Error::parse(doc_path, e))?;
-    let mut scratch = bundle.scratch();
-    let (_tuples, report) = render::shred_report(&bundle, &doc, &mut scratch, relation)?;
+    let (_tuples, report) =
+        render::shred_report_streaming(&bundle, &read(doc_path)?, doc_path, relation)?;
     print!("{report}");
     Ok(true)
 }
@@ -593,7 +531,7 @@ fn cmd_serve(args: &[String]) -> Result<bool, Error> {
             rest.push(arg.clone());
         }
     }
-    let (positional, jobs) = parse_jobs(&rest)?;
+    let (positional, jobs) = parse_jobs("serve", &rest)?;
     let [keys_path, rules_path] = positional.as_slice() else {
         return Err(usage_error("serve"));
     };
@@ -652,70 +590,56 @@ fn cmd_serve(args: &[String]) -> Result<bool, Error> {
     }
 }
 
-/// Runs a directory batch: the DOM pipeline over parsed documents, or —
-/// with `options.stream` — one streaming pass per file straight off its
-/// text (no document trees at all).  Returns `(name, outcome)` pairs in
-/// file-name order plus the per-file failures, or `None` for an empty
-/// directory.
+/// Runs a directory batch: one streaming pass per file straight off its
+/// text (no document trees), fanned over `options.jobs` worker threads.
+/// Returns `(name, outcome)` pairs in file-name order plus the per-file
+/// read or parse failures — a malformed file never aborts the batch — or
+/// `None` for an empty directory.
 #[allow(clippy::type_complexity)]
 fn batch_outcomes(
     dir: &str,
     bundle: &CorpusBundle,
     options: &CorpusOptions,
 ) -> Result<Option<(Vec<(String, DocOutcome)>, Vec<(String, String)>)>, Error> {
-    if options.stream {
-        let files = corpus_files(dir)?;
-        if files.is_empty() {
-            return Ok(None);
-        }
-        let results = xmlprop::pipeline::fan_out(
-            &files,
-            options.jobs.get(),
-            1, // chunk of 1: file I/O has no per-worker cache to keep warm
-            || (),
-            |(), _, (_, path)| {
-                fs::read_to_string(path)
-                    .map_err(|e| Error::io(format!("cannot read: {e}")))
-                    .and_then(|text| {
-                        bundle
-                            .stream_text(&text, options)
-                            .map_err(|e| Error::Parse(e.to_string()))
-                    })
-            },
-        );
-        let mut outcomes = Vec::new();
-        let mut failed = Vec::new();
-        for ((name, _), result) in files.into_iter().zip(results) {
-            match result {
-                Ok(outcome) => outcomes.push((name, outcome)),
-                Err(e) => failed.push((name, e.to_string())),
-            }
-        }
-        Ok(Some((outcomes, failed)))
-    } else {
-        let (parsed, failed) = load_corpus(dir, options.jobs)?;
-        if parsed.is_empty() && failed.is_empty() {
-            return Ok(None);
-        }
-        let (names, docs): (Vec<String>, Vec<Document>) = parsed.into_iter().unzip();
-        let result = bundle.run(&docs, options);
-        Ok(Some((
-            names.into_iter().zip(result.documents).collect(),
-            failed,
-        )))
+    let files = corpus_files(dir)?;
+    if files.is_empty() {
+        return Ok(None);
     }
+    let results = xmlprop::pipeline::fan_out(
+        &files,
+        options.jobs.get(),
+        1, // chunk of 1: file I/O has no per-worker cache to keep warm
+        || (),
+        |(), _, (_, path)| {
+            fs::read_to_string(path)
+                .map_err(|e| Error::io(format!("cannot read: {e}")))
+                .and_then(|text| {
+                    bundle
+                        .stream_text(&text, options)
+                        .map_err(|e| Error::Parse(e.to_string()))
+                })
+        },
+    );
+    let mut outcomes = Vec::new();
+    let mut failed = Vec::new();
+    for ((name, _), result) in files.into_iter().zip(results) {
+        match result {
+            Ok(outcome) => outcomes.push((name, outcome)),
+            Err(e) => failed.push((name, e.to_string())),
+        }
+    }
+    Ok(Some((outcomes, failed)))
 }
 
 /// Batch validation: every `*.xml` file of `dir` against the key set, over
-/// the parallel corpus pipeline (or its streaming front end).
-fn batch_validate(dir: &str, keys_path: &str, jobs: Jobs, stream: bool) -> Result<bool, Error> {
+/// the streaming front end.
+fn batch_validate(dir: &str, keys_path: &str, jobs: Jobs) -> Result<bool, Error> {
     let bundle = CorpusBundle::for_validation(load_keys(keys_path)?);
     let options = CorpusOptions {
         jobs,
         shred: false,
         validate: true,
-        covers: false,
-        stream,
+        ..CorpusOptions::default()
     };
     let Some((outcomes, failed)) = batch_outcomes(dir, &bundle, &options)? else {
         println!("(no *.xml documents in `{dir}`)");
@@ -751,14 +675,13 @@ fn batch_validate(dir: &str, keys_path: &str, jobs: Jobs, stream: bool) -> Resul
 }
 
 /// Batch shredding: every `*.xml` file of `dir` through the prepared plans,
-/// over the parallel corpus pipeline (or its streaming front end).  With a
-/// relation name only that relation's tuple counts are reported.
+/// over the streaming front end.  With a relation name only that
+/// relation's tuple counts are reported.
 fn batch_shred(
     dir: &str,
     rules_path: &str,
     relation: Option<&str>,
     jobs: Jobs,
-    stream: bool,
 ) -> Result<bool, Error> {
     let t = load_transformation(rules_path)?;
     // With a relation filter, reduce the transformation to that one rule
@@ -778,8 +701,7 @@ fn batch_shred(
         jobs,
         shred: true,
         validate: false,
-        covers: false,
-        stream,
+        ..CorpusOptions::default()
     };
     let Some((outcomes, failed)) = batch_outcomes(dir, &bundle, &options)? else {
         println!("(no *.xml documents in `{dir}`)");

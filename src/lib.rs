@@ -36,9 +36,9 @@
 //! [`prelude::StreamShredder`] executes shred plans — all bounded by
 //! document *depth* plus *open bindings*, not document size, and all
 //! proven bit-for-bit equal to the DOM path.  The pipeline exposes the
-//! whole stack as `CorpusOptions { stream: true, .. }` and
-//! [`pipeline::CorpusBundle::stream_text`]; the CLI as
-//! `validate --stream` / `shred --stream`.
+//! whole stack as [`pipeline::CorpusBundle::stream_text`] (and as
+//! `CorpusOptions { stream: true, .. }` over parsed documents); the CLI's
+//! `validate` and `shred` always run it.
 //!
 //! ## One-shot facades vs. prepared state
 //!

@@ -220,7 +220,6 @@ fn help_prints_usage() {
         "import-xsd",
         "help",
         "--jobs",
-        "--stream",
         "--addr",
         "--script",
         "--read-timeout-ms",
@@ -370,33 +369,20 @@ fn batch_shred_with_a_relation_filter_counts_only_that_relation() {
 }
 
 #[test]
-fn batch_stream_matches_the_dom_batch_and_names_malformed_files() {
-    let dir = CorpusDir::new("batch-stream");
+fn batch_names_malformed_and_violating_files_in_one_run() {
+    let dir = CorpusDir::new("batch-mixed");
     dir.copy_fig1("a.xml");
     dir.write("broken.xml", "<unclosed");
     dir.write("dup.xml", r#"<db><book isbn="1"/><book isbn="1"/></db>"#);
-    let stream = run(&[
-        "validate",
-        "--stream",
-        "--jobs",
-        "2",
-        dir.path(),
-        "examples/data/book_keys.txt",
-    ]);
-    let dom = run(&[
+    let out = run(&[
         "validate",
         "--jobs",
         "2",
         dir.path(),
         "examples/data/book_keys.txt",
     ]);
-    assert_eq!(stream.status.code(), Some(1), "{}", stdout(&stream));
-    assert_eq!(
-        stdout(&stream),
-        stdout(&dom),
-        "--stream must render the exact DOM batch bytes"
-    );
-    let text = stdout(&stream);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let text = stdout(&out);
     assert!(text.contains("[ok]   a.xml"));
     assert!(text.contains("[FAIL] dup.xml"));
     assert!(
@@ -405,22 +391,34 @@ fn batch_stream_matches_the_dom_batch_and_names_malformed_files() {
     );
     assert!(text.contains("1 unparseable"));
 
-    let stream = run(&[
-        "shred",
-        "--stream",
-        dir.path(),
-        "examples/data/book_rules.txt",
-        "chapter",
-    ]);
-    let dom = run(&[
+    let out = run(&[
         "shred",
         dir.path(),
         "examples/data/book_rules.txt",
         "chapter",
     ]);
-    assert_eq!(stream.status.code(), Some(1), "{}", stdout(&stream));
-    assert_eq!(stdout(&stream), stdout(&dom));
-    assert!(stdout(&stream).contains("a.xml: chapter: 3"));
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(stdout(&out).contains("a.xml: chapter: 3"));
+}
+
+/// No option selects the front end: `validate` and `shred` always stream,
+/// so `--stream` is an unknown option.
+#[test]
+fn stream_flag_is_a_usage_error() {
+    for (cmd, rest) in [
+        ("validate", "examples/data/book_keys.txt"),
+        ("shred", "examples/data/book_rules.txt"),
+    ] {
+        let out = run(&[cmd, "--stream", "examples/data/fig1.xml", rest]);
+        assert_eq!(out.status.code(), Some(2), "`{cmd} --stream`");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown option `--stream`"), "{stderr}");
+        assert!(
+            stderr.contains(&format!("usage: {cmd} [--jobs N] <document.xml | dir>")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty());
+    }
 }
 
 #[test]

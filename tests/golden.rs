@@ -47,6 +47,10 @@ fn assert_golden(args: &[&str], file: &str) {
     );
 }
 
+/// `validate` and `shred` run the streaming front end.  The DOM path that
+/// the server renders from stays pinned to the same bytes by
+/// `corpus_pipeline_agrees_with_the_golden_fixtures` below and by the
+/// stream == DOM unit tests of the renderers.
 #[test]
 fn fig1_validation_matches_golden() {
     assert_golden(
@@ -64,30 +68,6 @@ fn fig1_shred_matches_golden() {
     assert_golden(
         &[
             "shred",
-            "examples/data/fig1.xml",
-            "examples/data/book_rules.txt",
-        ],
-        "fig1_shred.txt",
-    );
-}
-
-/// The streaming front end renders the *same bytes* as the DOM path: both
-/// `--stream` invocations must reproduce the committed goldens unchanged.
-#[test]
-fn fig1_streaming_matches_the_same_goldens() {
-    assert_golden(
-        &[
-            "validate",
-            "--stream",
-            "examples/data/fig1.xml",
-            "examples/data/book_keys.txt",
-        ],
-        "fig1_validate.txt",
-    );
-    assert_golden(
-        &[
-            "shred",
-            "--stream",
             "examples/data/fig1.xml",
             "examples/data/book_rules.txt",
         ],
