@@ -2,9 +2,7 @@
 //!
 //! Each figure of the paper's evaluation corresponds to one function here
 //! returning a series of measured points; the `paper_experiments` binary
-//! prints them as text tables and writes machine-readable JSON, and the
-//! Criterion benches (`benches/fig7*.rs`) measure the same operations with
-//! statistical rigor on a reduced parameter grid.
+//! prints them as text tables and writes machine-readable JSON.
 //!
 //! The absolute numbers will differ from the paper's 2003 hardware; what is
 //! being reproduced is the *shape* of each curve:
@@ -40,17 +38,17 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
 /// Default depth used by the Fig. 7(a) sweep (the paper fixes depth and keys
 /// while varying the number of fields; exact values are not printed, so we
 /// use the Fig. 7(b)/(c) defaults: depth 5, keys 10).
-pub const FIG7A_DEPTH: usize = 5;
+const FIG7A_DEPTH: usize = 5;
 /// Default key count for Fig. 7(a).
-pub const FIG7A_KEYS: usize = 10;
+const FIG7A_KEYS: usize = 10;
 /// Fields default of Fig. 7(b) as stated in the paper.
-pub const FIG7B_FIELDS: usize = 15;
+const FIG7B_FIELDS: usize = 15;
 /// Number of keys used in Fig. 7(b) as stated in the paper.
-pub const FIG7B_KEYS: usize = 10;
+const FIG7B_KEYS: usize = 10;
 /// Fields default of Fig. 7(c).
-pub const FIG7C_FIELDS: usize = 15;
+const FIG7C_FIELDS: usize = 15;
 /// Table-tree depth used in Fig. 7(c) (the paper states depth = 10).
-pub const FIG7C_DEPTH: usize = 10;
+const FIG7C_DEPTH: usize = 10;
 
 /// One measured point of Fig. 7(a).
 #[derive(Debug, Clone)]
@@ -114,7 +112,7 @@ pub struct PropagationPoint {
 
 /// Builds the probe FDs used by the propagation experiments: the positive
 /// chain FD plus `extra` random ones.
-pub fn probe_fds(workload: &Workload, extra: usize) -> Vec<Fd> {
+fn probe_fds(workload: &Workload, extra: usize) -> Vec<Fd> {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(workload.config.seed ^ 0xfd);
     let mut probes = vec![target_fd(workload)];
@@ -253,9 +251,8 @@ impl PreparedPoint {
 
 /// A representative implication probe for a chain workload of the given
 /// depth: is the deepest entity level keyed (relative to the level above)
-/// by its id?  Shared by the `implication` Criterion bench and the
-/// prepared-engine ablation.
-pub fn implication_probe(depth: usize) -> xmlprop_xmlkeys::XmlKey {
+/// by its id?  The probe of the prepared-engine ablation.
+fn implication_probe(depth: usize) -> xmlprop_xmlkeys::XmlKey {
     use xmlprop_xmlpath::PathExpr;
     let mut context = PathExpr::epsilon().descendant("e0");
     for level in 1..depth.saturating_sub(1) {

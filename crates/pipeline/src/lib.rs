@@ -40,5 +40,5 @@ pub use faultline::{FaultAction, FaultStream, Faults};
 pub use incremental::{parse_edit_script, EditReport, IncrementalDocument};
 pub use run::{fan_out, CorpusOptions, CorpusResult, CorpusStats, DocOutcome, Jobs, MAX_JOBS};
 pub use source::{parse_keys_text, parse_rules_text};
-pub use state::{PreparedState, RequestScratch};
+pub use state::RequestScratch;
 pub use swap::{Published, SwapCell};

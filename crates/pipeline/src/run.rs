@@ -15,8 +15,8 @@
 //! * Each worker owns its mutable state: one
 //!   [`crate::RequestScratch`] (a private clone of the bundle's label
 //!   universe — append-only ids, see [`CorpusBundle::worker_universe`] —
-//!   plus shred buffers) reused across all its documents, manufactured
-//!   through the [`PreparedState`] boundary.
+//!   plus shred buffers) reused across all its documents, made by
+//!   [`crate::RequestScratch::for_bundle`].
 //! * Finished documents flow back over an [`std::sync::mpsc`] channel as
 //!   `(index, outcome)` pairs and are placed into a slot vector by index —
 //!   the merged [`CorpusResult`] is ordered by document index, **never** by
@@ -31,7 +31,7 @@
 
 use crate::bundle::{CorpusBundle, RuleCover};
 use crate::error::Error;
-use crate::state::PreparedState;
+use crate::state::RequestScratch;
 use std::num::NonZeroUsize;
 use std::sync::{mpsc, Mutex};
 use xmlprop_reldb::Database;
@@ -288,7 +288,7 @@ impl CorpusBundle {
     /// reference semantics the parallel [`CorpusBundle::run`] is
     /// property-tested against (`options.jobs` is ignored).
     pub fn run_sequential(&self, docs: &[Document], options: &CorpusOptions) -> CorpusResult {
-        let mut scratch = self.scratch();
+        let mut scratch = RequestScratch::for_bundle(self);
         let documents = docs
             .iter()
             .map(|doc| self.process(doc, &mut scratch, options))
@@ -315,7 +315,7 @@ impl CorpusBundle {
             docs,
             jobs,
             chunk_size(n, jobs),
-            || self.scratch(),
+            || RequestScratch::for_bundle(self),
             |scratch, _, doc| self.process(doc, scratch, options),
         );
         let covers = if options.covers {

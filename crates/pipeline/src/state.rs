@@ -1,5 +1,4 @@
-//! The shared-state / per-request boundary: [`PreparedState`] and
-//! [`RequestScratch`].
+//! The shared-state / per-request boundary: [`RequestScratch`].
 //!
 //! Every consumer of prepared state — the corpus runner's worker threads,
 //! the resident server's connection handlers, a caller embedding the
@@ -13,34 +12,16 @@
 //!   labels into, and a [`ShredScratch`] holding evaluation frontiers and
 //!   the per-document `value()` memo.
 //!
-//! [`PreparedState`] names that boundary as a trait (shared state
-//! manufactures its scratch), and [`RequestScratch`] is the scratch type
-//! for a bundle.  A scratch is *derived from* a particular bundle (its
-//! universe clone must agree with the bundle's compiled ids), so holders
-//! of hot-swapped bundles re-derive their scratch when the published
-//! epoch moves — see [`crate::SwapCell`] and the server crate.
+//! [`RequestScratch`] is the scratch type for a bundle, made by
+//! [`RequestScratch::for_bundle`].  A scratch is *derived from* a
+//! particular bundle (its universe clone must agree with the bundle's
+//! compiled ids), so holders of hot-swapped bundles re-derive their
+//! scratch when the published epoch moves — see [`crate::SwapCell`] and
+//! the server crate.
 
 use crate::bundle::CorpusBundle;
 use xmlprop_xmltransform::ShredScratch;
 use xmlprop_xmltree::{DocIndex, Document, LabelUniverse};
-
-/// Immutable shared state that can manufacture the per-request scratch it
-/// is queried with; see the module docs.
-pub trait PreparedState: Send + Sync {
-    /// The per-request mutable state one thread owns.
-    type Scratch: Send;
-
-    /// A fresh scratch derived from this state.
-    fn scratch(&self) -> Self::Scratch;
-}
-
-impl PreparedState for CorpusBundle {
-    type Scratch = RequestScratch;
-
-    fn scratch(&self) -> RequestScratch {
-        RequestScratch::for_bundle(self)
-    }
-}
 
 /// One thread's mutable state for processing documents against a
 /// [`CorpusBundle`], reused across all that thread's requests.
@@ -72,30 +53,5 @@ impl RequestScratch {
     /// [`xmlprop_xmltransform::ShredPlan::shred_with`] directly.
     pub fn shred_scratch(&mut self) -> &mut ShredScratch {
         &mut self.shred
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use xmlprop_xmlkeys::KeySet;
-    use xmlprop_xmltransform::Transformation;
-
-    #[test]
-    fn prepared_state_is_object_safe_enough_for_generic_services() {
-        fn scratch_of<S: PreparedState>(state: &S) -> S::Scratch {
-            state.scratch()
-        }
-        let bundle = CorpusBundle::prepare(
-            KeySet::new(),
-            Transformation::parse(
-                "rule book(isbn) { xb := xr//book; xi := xb/@isbn; isbn := value(xi); }",
-            )
-            .unwrap(),
-        );
-        let mut scratch = scratch_of(&bundle);
-        let doc = xmlprop_xmltree::ElementBuilder::new("r").build();
-        let index = scratch.index_document(&doc);
-        assert_eq!(index.len(), doc.len());
     }
 }

@@ -236,7 +236,7 @@ mod tests {
     use super::*;
     use crate::run::Jobs;
     use crate::source::{parse_keys_text, parse_rules_text};
-    use crate::state::PreparedState;
+    use crate::state::RequestScratch;
     use xmlprop_xmltree::to_xml;
 
     const KEYS: &str = "K1: (ε, (//book, {@isbn}))\nK2: (//book, (chapter, {@number}))\n";
@@ -282,7 +282,7 @@ mod tests {
     fn stream_text_matches_the_dom_path() {
         let bundle = bundle();
         let options = CorpusOptions::default();
-        let mut scratch = bundle.scratch();
+        let mut scratch = RequestScratch::for_bundle(&bundle);
         for doc in docs() {
             let dom = bundle.process(&doc, &mut scratch, &options);
             let streamed = bundle.stream_text(&to_xml(&doc), &options).unwrap();
@@ -294,7 +294,7 @@ mod tests {
     fn stream_document_matches_the_dom_path() {
         let bundle = bundle();
         let options = CorpusOptions::default();
-        let mut scratch = bundle.scratch();
+        let mut scratch = RequestScratch::for_bundle(&bundle);
         for doc in docs() {
             let dom = bundle.process(&doc, &mut scratch, &options);
             let streamed = bundle.stream_document(&doc, &options);

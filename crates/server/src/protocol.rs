@@ -30,10 +30,10 @@
 //! quit
 //! ```
 //!
-//! Test builds (and builds with the `faultline` feature) additionally
-//! accept a `boom` verb whose handler panics — the end-to-end probe for
-//! the server's panic-isolation path.  Release servers reject it as an
-//! unknown verb.
+//! The crate's own test builds additionally accept a `boom` verb whose
+//! handler panics — the end-to-end probe for the server's panic-isolation
+//! path.  Every other build, including a dependent's tests, rejects it as
+//! an unknown verb.
 //!
 //! Responses are a header line, a payload, and a terminating `.` line:
 //!
@@ -111,8 +111,8 @@ pub enum Request {
     /// Test-only: panic inside the request handler.  Exists so the
     /// panic-isolation path (`err internal`, `panics=` counter, connection
     /// keeps serving) can be driven end-to-end over the wire; compiled only
-    /// in test builds and under the `faultline` feature.
-    #[cfg(any(test, feature = "faultline"))]
+    /// into this crate's test builds.
+    #[cfg(test)]
     Boom,
 }
 
@@ -129,7 +129,7 @@ impl Request {
             Request::Query { .. } => "query",
             Request::Reload { .. } => "reload",
             Request::Quit => "quit",
-            #[cfg(any(test, feature = "faultline"))]
+            #[cfg(test)]
             Request::Boom => "boom",
         }
     }
@@ -141,7 +141,7 @@ impl Request {
     pub fn is_read_only(&self) -> bool {
         match self {
             Request::Reload { .. } | Request::Quit => false,
-            #[cfg(any(test, feature = "faultline"))]
+            #[cfg(test)]
             Request::Boom => false,
             _ => true,
         }
@@ -179,7 +179,7 @@ impl Request {
                 w.write_all(rules.as_bytes())
             }
             Request::Quit => writeln!(w, "quit"),
-            #[cfg(any(test, feature = "faultline"))]
+            #[cfg(test)]
             Request::Boom => writeln!(w, "boom"),
         }
     }
@@ -204,7 +204,7 @@ impl Request {
             "ping" => Ok(Some(Request::Ping)),
             "status" => Ok(Some(Request::Status)),
             "quit" => Ok(Some(Request::Quit)),
-            #[cfg(any(test, feature = "faultline"))]
+            #[cfg(test)]
             "boom" => Ok(Some(Request::Boom)),
             "validate" => {
                 let len = parse_len(parts.next(), "validate")?;

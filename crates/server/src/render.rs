@@ -282,7 +282,7 @@ pub fn require_rule<'b>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmlprop_pipeline::{parse_keys_text, parse_rules_text, PreparedState};
+    use xmlprop_pipeline::{parse_keys_text, parse_rules_text};
 
     const KEYS: &str = "K1: (ε, (//book, {@isbn}))\n";
     const RULES: &str = "rule book(isbn) { xb := xr//book; xi := xb/@isbn; isbn := value(xi); }\n";
@@ -297,7 +297,7 @@ mod tests {
     #[test]
     fn validate_report_formats_ok_and_fail_lines() {
         let bundle = bundle();
-        let mut scratch = bundle.scratch();
+        let mut scratch = RequestScratch::for_bundle(&bundle);
         let good = Document::parse_str("<r><book isbn='1'/><book isbn='2'/></r>").unwrap();
         let (ok, text) = validate_report(&bundle, &good, &mut scratch);
         assert!(ok);
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn shred_report_counts_tuples_and_rejects_unknown_relations() {
         let bundle = bundle();
-        let mut scratch = bundle.scratch();
+        let mut scratch = RequestScratch::for_bundle(&bundle);
         let doc = Document::parse_str("<r><book isbn='1'/><book isbn='2'/></r>").unwrap();
         let (tuples, text) = shred_report(&bundle, &doc, &mut scratch, None).unwrap();
         assert_eq!(tuples, 2);
@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn streaming_report_twins_render_identical_bytes() {
         let bundle = bundle();
-        let mut scratch = bundle.scratch();
+        let mut scratch = RequestScratch::for_bundle(&bundle);
         for xml in [
             "<r><book isbn='1'/><book isbn='2'/></r>",
             "<r><book isbn='1'/><book isbn='1'/></r>",
@@ -367,7 +367,7 @@ mod tests {
     #[test]
     fn query_report_renders_plan_table_and_count() {
         let bundle = bundle();
-        let mut scratch = bundle.scratch();
+        let mut scratch = RequestScratch::for_bundle(&bundle);
         let doc = Document::parse_str("<r><book isbn='2'/><book isbn='1'/></r>").unwrap();
         let (rows, text) =
             query_report(&bundle, &doc, &mut scratch, "select isbn from book").unwrap();

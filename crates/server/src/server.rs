@@ -52,7 +52,7 @@
 use crate::protocol::{self, Request, Response};
 use crate::render;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -61,7 +61,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xmlprop_pipeline::{
     parse_keys_text, parse_rules_text, CorpusBundle, Error, ErrorKind, FaultStream, Faults, Jobs,
-    PreparedState, Published, RequestScratch, SwapCell,
+    Published, RequestScratch, SwapCell,
 };
 use xmlprop_xmltree::Document;
 
@@ -117,7 +117,7 @@ pub struct VerbCounters {
     quit: AtomicU64,
     /// The test-only panic verb gets a private slot so it never skews the
     /// `served=` total or the per-verb report the golden transcripts pin.
-    #[cfg(any(test, feature = "faultline"))]
+    #[cfg(test)]
     boom: AtomicU64,
 }
 
@@ -133,7 +133,7 @@ impl VerbCounters {
             Request::Query { .. } => &self.query,
             Request::Reload { .. } => &self.reload,
             Request::Quit => &self.quit,
-            #[cfg(any(test, feature = "faultline"))]
+            #[cfg(test)]
             Request::Boom => &self.boom,
         }
     }
@@ -440,7 +440,7 @@ impl ServerState {
                     String::new(),
                 ))
             }
-            #[cfg(any(test, feature = "faultline"))]
+            #[cfg(test)]
             Request::Boom => panic!("deliberate `boom` panic (test verb)"),
         }
     }
@@ -467,7 +467,7 @@ impl ScratchCache {
     /// since the last request on this connection.
     pub fn for_snapshot(&mut self, snapshot: &Published<CorpusBundle>) -> &mut RequestScratch {
         if self.scratch.is_none() || self.epoch != snapshot.epoch() {
-            self.scratch = Some(snapshot.value().scratch());
+            self.scratch = Some(RequestScratch::for_bundle(snapshot.value()));
             self.epoch = snapshot.epoch();
         }
         self.scratch.as_mut().expect("scratch derived above")
@@ -896,38 +896,6 @@ fn handle_connection(
     }
 }
 
-/// The transport-agnostic session loop (shared by the TCP handler's
-/// in-process tests and any custom transport).  Panic isolation applies —
-/// it lives in [`ServerState::respond`] — but the timeout policy does
-/// not: that belongs to the TCP transport in [`Server::bind_with`].
-pub fn serve_session(
-    reader: &mut impl BufRead,
-    writer: &mut impl Write,
-    state: &ServerState,
-    cache: &mut ScratchCache,
-) -> std::io::Result<()> {
-    loop {
-        match Request::read_from(reader) {
-            Ok(None) => return Ok(()),
-            Ok(Some(request)) => {
-                let quit = request == Request::Quit;
-                let response = state.respond(&request, cache);
-                response.write_to(writer)?;
-                writer.flush()?;
-                if quit {
-                    return Ok(());
-                }
-            }
-            Err(error) => {
-                // Framing is broken; answer once and hang up.
-                let _ = Response::error(&error).write_to(writer);
-                let _ = writer.flush();
-                return Ok(());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1047,6 +1015,41 @@ mod tests {
             &mut cache,
         );
         assert!(resp.header.starts_with("ok validate bundle=1"));
+    }
+
+    #[test]
+    fn boom_yields_err_internal_and_the_service_keeps_serving() {
+        use crate::client::Client;
+        let server = Server::bind("127.0.0.1:0", bundle(), Jobs::new(4).unwrap()).unwrap();
+        let addr = server.local_addr();
+
+        let mut client = Client::connect(addr).unwrap();
+        let resp = client.send(&Request::Boom).unwrap();
+        assert!(resp.is_err(), "boom must fail: {}", resp.header);
+        assert_eq!(resp.wire_code(), Some("internal"));
+        assert!(
+            resp.header.contains("panicked"),
+            "the diagnostic names the panic: {}",
+            resp.header
+        );
+        assert_eq!(server.state().health().panics(), 1);
+
+        // Panic isolation keeps the *same* connection serving...
+        let ping = client.send(&Request::Ping).unwrap();
+        assert!(!ping.is_err(), "session died after boom: {}", ping.header);
+
+        // ...and a fresh connection works end to end.
+        let mut fresh = Client::connect(addr).unwrap();
+        let resp = fresh
+            .send(&Request::Validate {
+                document: "<db><book isbn=\"1\"/></db>".into(),
+            })
+            .unwrap();
+        assert_eq!(resp.epoch(), Some(1));
+        assert!(resp.header.contains("verdict=ok"), "{}", resp.header);
+
+        let report = server.shutdown();
+        assert!(report.drained, "idle sessions drain cleanly");
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! * **keys** — the number of XML keys (10–100 in Fig. 7(c)).
 //!
 //! The authors' generator is not published, so this crate provides the
-//! closest synthetic equivalent (the substitution is documented in
-//! DESIGN.md): a hierarchy of `depth` nested entity levels, each identified
+//! closest synthetic equivalent: a hierarchy of `depth` nested entity levels, each identified
 //! within its parent by an `@id…` attribute, with the remaining fields
 //! spread over the levels as attribute or element children, and a key set
 //! consisting of the transitive chain of identifying keys plus additional
@@ -22,19 +21,15 @@
 //! tests use to check soundness of the propagation algorithms end to end,
 //! a corpus generator ([`generate_corpus`]) materializing many such
 //! documents with per-document seeds (the input of the parallel corpus
-//! pipeline and its benches), and a raw FD-set generator
-//! ([`generate_fds`]) producing the 10³–10⁴-FD inputs of the relational
-//! closure/minimum-cover benchmarks.
+//! pipeline and its benches).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod corpus;
 mod docs;
-mod fdsynth;
 mod synth;
 
 pub use corpus::{corpus_doc_config, generate_corpus, CorpusConfig, CorpusReport};
 pub use docs::{generate_document, generate_document_with_report, DocConfig, DocReport};
-pub use fdsynth::{closure_seed, generate_fds, FdSetConfig};
 pub use synth::{generate, random_fd, target_fd, Workload, WorkloadConfig};

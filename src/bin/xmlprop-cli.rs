@@ -64,7 +64,6 @@ use std::process::ExitCode;
 use xmlprop::core::refine;
 use xmlprop::pipeline::{
     parse_keys_text, parse_rules_text, CorpusBundle, CorpusOptions, DocOutcome, Faults, Jobs,
-    PreparedState,
 };
 use xmlprop::prelude::*;
 use xmlprop::server::render;
@@ -217,9 +216,8 @@ fn usage_text() -> String {
          --script the session is self-driven and the transcript printed to\n\
          stdout.  Timeout flags harden the service (read/write timeout,\n\
          per-request deadline, bounded admission wait, shutdown drain\n\
-         budget); --faults installs a seeded fault-injection schedule\n\
-         (builds with the `faultline` feature only), e.g.\n\
-         --faults conn.read=10%delay:2\n",
+         budget); --faults installs a seeded fault-injection schedule,\n\
+         e.g. --faults conn.read=10%delay:2\n",
     );
     out
 }
@@ -458,7 +456,7 @@ fn cmd_query(args: &[String]) -> Result<bool, Error> {
     // request and this one-shot print identical bytes by construction.
     let bundle = CorpusBundle::prepare(load_keys(keys_path)?, load_transformation(rules_path)?);
     let doc = Document::parse_str(&read(doc_path)?).map_err(|e| Error::parse(doc_path, e))?;
-    let mut scratch = bundle.scratch();
+    let mut scratch = RequestScratch::for_bundle(&bundle);
     let (_rows, report) = render::query_report(&bundle, &doc, &mut scratch, query_text)?;
     print!("{report}");
     Ok(true)
@@ -535,8 +533,6 @@ fn cmd_serve(args: &[String]) -> Result<bool, Error> {
     let [keys_path, rules_path] = positional.as_slice() else {
         return Err(usage_error("serve"));
     };
-    // In builds without the `faultline` feature this reports a usage error
-    // ("not compiled in") — release servers cannot inject faults at all.
     let faults = match faults_spec {
         Some(spec) => Faults::parse(&spec, fault_seed)?,
         None => Faults::disabled(),

@@ -57,7 +57,8 @@
 //! exit code and a protocol wire code.
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and
-//! `EXPERIMENTS.md` for the reproduction of the paper's evaluation.
+//! README § "Benchmarks and experiments" for the reproduction of the
+//! paper's evaluation.
 
 #![forbid(unsafe_code)]
 
@@ -77,18 +78,17 @@ pub use xmlprop_pipeline::{Error, ErrorKind};
 /// Commonly used items, re-exported for convenience.
 ///
 /// Alongside the parsed surface types this includes the whole **prepared
-/// layer** — the `Prepared*`/`*Index`/`*Plan` types, their scratch
-/// counterparts and the [`PreparedState`](xmlprop_pipeline::PreparedState)
-/// boundary — so services can name
-/// every compiled artifact through one import.
+/// layer** — the `Prepared*`/`*Index`/`*Plan` types and their scratch
+/// counterparts — so services can name every compiled artifact through
+/// one import.
 pub mod prelude {
     pub use xmlprop_core::{
         minimum_cover, naive_minimum_cover, propagate_all, propagation, GMinimumCover,
         PropagationEngine, PropagationOutcome, RefinedDesign,
     };
     pub use xmlprop_pipeline::{
-        CorpusBundle, CorpusOptions, CorpusResult, Error, ErrorKind, Jobs, PreparedState,
-        Published, RequestScratch, SwapCell,
+        CorpusBundle, CorpusOptions, CorpusResult, Error, ErrorKind, Jobs, Published,
+        RequestScratch, SwapCell,
     };
     pub use xmlprop_query::{parse_query, Catalog, JoinKind, KeyedTable, Plan, Query};
     pub use xmlprop_reldb::{Fd, FdIndex, Relation, RelationSchema, Value};

@@ -19,7 +19,7 @@
 //! pass simply re-exercises it in that configuration.
 
 use proptest::prelude::*;
-use xmlprop::pipeline::{CorpusBundle, PreparedState};
+use xmlprop::pipeline::{CorpusBundle, RequestScratch};
 use xmlprop::workload::{generate, generate_document, DocConfig, WorkloadConfig};
 use xmlprop::xmltransform::Transformation;
 use xmlprop::xmltree::{to_xml, Delta, Document, Fragment, NodeId, NodeKind};
@@ -154,7 +154,7 @@ proptest! {
             }
 
             // From-scratch reference over the mutated document.
-            let mut scratch = bundle.scratch();
+            let mut scratch = RequestScratch::for_bundle(&bundle);
             let index = scratch.index_document(state.document());
             let fresh_violations = bundle.keys().violations(state.document(), &index);
             let fresh_db = bundle.plan().shred_all(state.document(), &index);
@@ -168,7 +168,7 @@ proptest! {
         let xml = to_xml(state.document());
         let reparsed = Document::parse_str(&xml).expect("mutated document reparses");
         prop_assert_eq!(to_xml(&reparsed), xml, "serialize/parse round trip");
-        let mut scratch = bundle.scratch();
+        let mut scratch = RequestScratch::for_bundle(&bundle);
         let index = scratch.index_document(&reparsed);
         prop_assert_eq!(
             state.database(&bundle),

@@ -20,10 +20,6 @@
 //! keys/rules text, which keeps the oracle payloads epoch-independent
 //! while still exercising the full parse→prepare→publish path under
 //! load.
-//!
-//! A separate test drives the panic-isolation path end-to-end: the
-//! test-only `boom` verb yields `err internal`, the same connection and
-//! a fresh one keep serving.
 
 use proptest::prelude::*;
 use std::fs;
@@ -31,8 +27,10 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xmlprop::pipeline::{parse_keys_text, parse_rules_text, CorpusBundle, Faults, Jobs};
-use xmlprop::prelude::{Document, PreparedState};
+use xmlprop::pipeline::{
+    parse_keys_text, parse_rules_text, CorpusBundle, Faults, Jobs, RequestScratch,
+};
+use xmlprop::prelude::Document;
 use xmlprop::server::{render, Client, ClientConfig, Request, Response, Server, ServiceConfig};
 
 fn data(name: &str) -> PathBuf {
@@ -90,7 +88,7 @@ impl Oracle {
     fn new(keys_text: &str, rules_text: &str, doc_text: &str) -> Oracle {
         let bundle = book_bundle(keys_text, rules_text);
         let doc = Document::parse_str(doc_text).unwrap();
-        let mut scratch = bundle.scratch();
+        let mut scratch = RequestScratch::for_bundle(&bundle);
 
         let (v_ok, v_text) = render::validate_report(&bundle, &doc, &mut scratch);
         assert!(v_ok, "fig1.xml satisfies the book keys");
@@ -302,46 +300,4 @@ proptest! {
     fn concurrent_clients_stay_correct_across_reloads_under_faults(seed in 0u64..1_000_000) {
         chaos_round(seed);
     }
-}
-
-#[test]
-fn boom_yields_err_internal_and_the_service_keeps_serving() {
-    let keys_text = read("book_keys.txt");
-    let rules_text = read("book_rules.txt");
-    let doc_text = read("fig1.xml");
-    let server = Server::bind(
-        "127.0.0.1:0",
-        book_bundle(&keys_text, &rules_text),
-        Jobs::new(4).unwrap(),
-    )
-    .unwrap();
-    let addr = server.local_addr();
-
-    let mut client = Client::connect(addr).unwrap();
-    let resp = client.send(&Request::Boom).unwrap();
-    assert!(resp.is_err(), "boom must fail: {}", resp.header);
-    assert_eq!(resp.wire_code(), Some("internal"));
-    assert!(
-        resp.header.contains("panicked"),
-        "the diagnostic names the panic: {}",
-        resp.header
-    );
-    assert_eq!(server.state().health().panics(), 1);
-
-    // Panic isolation keeps the *same* connection serving...
-    let ping = client.send(&Request::Ping).unwrap();
-    assert!(!ping.is_err(), "session died after boom: {}", ping.header);
-
-    // ...and a fresh connection works end to end.
-    let mut fresh = Client::connect(addr).unwrap();
-    let resp = fresh
-        .send(&Request::Validate {
-            document: doc_text.clone(),
-        })
-        .unwrap();
-    assert_eq!(resp.epoch(), Some(1));
-    assert!(resp.header.contains("verdict=ok"), "{}", resp.header);
-
-    let report = server.shutdown();
-    assert!(report.drained, "idle sessions drain cleanly");
 }

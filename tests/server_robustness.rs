@@ -224,3 +224,20 @@ fn graceful_shutdown_drains_idle_sessions() {
     });
     assert!(err.is_err(), "requests after shutdown must fail");
 }
+
+/// The panic verb is compiled only into the server crate's own unit
+/// tests: a server built as a dependency treats `boom` as an unknown verb.
+#[test]
+fn boom_is_an_unknown_verb_outside_the_server_crate() {
+    let server = Server::bind("127.0.0.1:0", book_bundle(), Jobs::new(2).unwrap()).unwrap();
+    let transcript = fuzz_once(server.local_addr(), b"boom\n");
+    let mut lines = transcript.lines();
+    assert!(lines.next().unwrap().starts_with("xmlprop/"));
+    let answer = lines.next().expect("the server answers the unknown verb");
+    assert!(answer.starts_with("err protocol "), "got `{answer}`");
+    assert_eq!(server.state().health().panics(), 0);
+
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert!(!client.send(&Request::Ping).unwrap().is_err());
+    server.shutdown();
+}

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use xmlprop::pipeline::{parse_keys_text, parse_rules_text, CorpusBundle, Jobs, PreparedState};
+use xmlprop::pipeline::{parse_keys_text, parse_rules_text, CorpusBundle, Jobs, RequestScratch};
 use xmlprop::prelude::Document;
 use xmlprop::server::{render, Client, Request, Server};
 use xmlprop::workload::{generate, generate_corpus, CorpusConfig, DocConfig, WorkloadConfig};
@@ -42,7 +42,7 @@ fn validate_payload(keys_text: &str, rules_text: &str, doc_text: &str) -> String
         parse_rules_text(rules_text, "rules").unwrap(),
     );
     let doc = Document::parse_str(doc_text).unwrap();
-    let mut scratch = bundle.scratch();
+    let mut scratch = RequestScratch::for_bundle(&bundle);
     render::validate_report(&bundle, &doc, &mut scratch).1
 }
 
